@@ -1,17 +1,16 @@
 """Revised-simplex core: factorized warm re-solves vs cold HiGHS.
 
-The revised engine (``repro/lp/revised.py`` over ``repro/lp/basis_lu.py``)
-retired the dense-tableau size cliff: warm re-solves ride one persistent
-LU factorization (eta updates + periodic refactorization) and a carried
+In the revised engine (``repro/lp/revised.py`` over
+``repro/lp/basis_lu.py``) warm re-solves ride one persistent LU
+factorization (eta updates + periodic refactorization) and a carried
 bounded-variable basis, so the session path is supposed to beat a cold
 HiGHS solve per step at *every* instance size. This benchmark is the
 regression gate for that core, on the two chain shapes that matter:
 
 * **LPRR pin chains at large K** (~K(K-1) solves, one ``lb == ub`` pin
   per solve): the warm session must beat the cold-HiGHS-per-solve
-  reference (``lp_backend="scipy"``) in wall-clock at every K — the
-  sizes here start where the old tableau cliff used to force the
-  fallback — while producing valid, LP-bounded allocations.
+  reference (``lp_backend="scipy"``) in wall-clock at every K while
+  producing valid, LP-bounded allocations.
 * **Branch-and-bound re-solve chains** (one beta bound flipped per
   node, dual-simplex repair of the parent basis): warm-session B&B must
   agree with the cold-HiGHS-per-node reference on the optimum and beat
@@ -136,8 +135,8 @@ def test_simplex_core_regression(benchmark):
 
     banner(
         "Revised-simplex core: LU-factorized warm chains vs cold HiGHS",
-        "the session path must beat cold HiGHS per re-solve at every size "
-        "(no tableau cliff), on LPRR pin chains and B&B bound-flip chains.",
+        "the session path must beat cold HiGHS per re-solve at every size, "
+        "on LPRR pin chains and B&B bound-flip chains.",
     )
     print(f"{'K':>3} {'t session (s)':>14} {'t scipy (s)':>12} "
           f"{'speedup':>8} {'warm/solves':>12} {'iters':>7}")
@@ -163,7 +162,7 @@ def test_simplex_core_regression(benchmark):
     # Regression gates.
     for k, row in data["lprr"].items():
         # The core claim: no size cliff — warm session beats cold HiGHS
-        # per solve at every K, including sizes the tableau never won.
+        # per solve at every K.
         assert row["time_session"] < row["time_scipy"], (
             f"session slower than cold HiGHS at K={k}: "
             f"{row['time_session']:.3f}s vs {row['time_scipy']:.3f}s"

@@ -1,8 +1,8 @@
 """Warm-started LP re-solve subsystem: cold vs warm on the K^2 hot path.
 
 The paper's Figure 7 prices LPRR at ~K(K-1) LP solves; PR 2 makes every
-one of those solves share a session (in-place mutation + presolve +
-optimal-basis carry, :mod:`repro.lp.session`). This benchmark is the
+one of those solves share a session (in-place mutation + optimal-basis
+carry, :mod:`repro.lp.session`). This benchmark is the
 regression gate for that subsystem:
 
 * warm LPRR must produce **bitwise-identical allocations** to the cold
@@ -13,14 +13,13 @@ regression gate for that subsystem:
 * warm LPRR must spend **strictly fewer simplex iterations** than cold,
   and at least 30% fewer over the sweep;
 * the warm session path must beat the cold-HiGHS-per-solve reference
-  (``lp_backend="scipy"``) in wall-clock **at every K** — the revised
-  engine retired the dense-tableau size cliff, so there is no longer a
+  (``lp_backend="scipy"``) in wall-clock **at every K** — there is no
   K past which the session loses;
 * iterated LPRG (incremental ``b_ub`` rewrite instead of platform
   snapshot + full rebuild) re-solves cold each round — a residual
   rewrite moves the optimum wholesale, so basis carry does not pay
-  there — and must stay within the cold path's quality band without
-  spending more iterations than it.
+  there — and must return a valid allocation on every problem; its
+  iteration count and time are recorded.
 
 Results land in ``BENCH_warmstart.json`` (repo root) so the perf
 trajectory is machine-trackable from this PR on.
@@ -76,8 +75,7 @@ def _sweep(k_values, seeds) -> dict:
             "time_warm": 0.0, "time_cold": 0.0, "time_scipy": 0.0,
             "warm_solves": 0, "solves": 0,
         }
-        it_row = {"iters_warm": 0, "iters_cold": 0,
-                  "time_warm": 0.0, "time_cold": 0.0, "max_rel_diff": 0.0}
+        it_row = {"iterations": 0, "time": 0.0}
         for seed in seeds:
             problem = _reference_problem(seed, k)
             warm = lprr.run(problem, rng=seed, warm_start=True,
@@ -92,9 +90,8 @@ def _sweep(k_values, seeds) -> dict:
             # The revised engine canonicalizes every optimal vertex
             # (secondary objective over the optimal face), so warm and
             # cold take identical intermediate vertices at every K on
-            # this pinned sweep — including K >= 8, which broke the old
-            # tableau path. A failure here means a code change moved a
-            # vertex: inspect it before touching the pins.
+            # this pinned sweep. A failure here means a code change
+            # moved a vertex: inspect it before touching the pins.
             assert same, (
                 f"warm/cold LPRR allocations diverged at K={k} seed={seed}"
             )
@@ -108,31 +105,25 @@ def _sweep(k_values, seeds) -> dict:
             row["warm_solves"] += ws["n_warm"]
             row["solves"] += ws["n_solves"]
 
-            w_it = lprg_it.run(problem, warm_start=True, lp_backend="session")
-            c_it = lprg_it.run(problem, warm_start=False, lp_backend="session")
-            assert problem.check(w_it.allocation).ok
-            wis, cis = w_it.meta["lp_stats"], c_it.meta["lp_stats"]
-            it_row["iters_warm"] += wis["iterations"]
-            it_row["iters_cold"] += cis["iterations"]
-            it_row["time_warm"] += w_it.runtime
-            it_row["time_cold"] += c_it.runtime
-            if c_it.value > 0:
-                it_row["max_rel_diff"] = max(
-                    it_row["max_rel_diff"],
-                    abs(w_it.value - c_it.value) / c_it.value,
-                )
+            lprg_it_result = lprg_it.run(problem, lp_backend="session")
+            assert problem.check(lprg_it_result.allocation).ok
+            it_row["iterations"] += lprg_it_result.meta["lp_stats"]["iterations"]
+            it_row["time"] += lprg_it_result.runtime
         out["lprr"]["per_k"][k] = row
         out["lprg_it"]["per_k"][k] = it_row
 
-    for series in (out["lprr"], out["lprg_it"]):
-        per_k = series["per_k"]
-        series["iters_warm"] = sum(r["iters_warm"] for r in per_k.values())
-        series["iters_cold"] = sum(r["iters_cold"] for r in per_k.values())
-        series["time_warm"] = sum(r["time_warm"] for r in per_k.values())
-        series["time_cold"] = sum(r["time_cold"] for r in per_k.values())
-        series["iteration_reduction"] = 1.0 - (
-            series["iters_warm"] / series["iters_cold"]
-        )
+    series = out["lprr"]
+    per_k = series["per_k"]
+    series["iters_warm"] = sum(r["iters_warm"] for r in per_k.values())
+    series["iters_cold"] = sum(r["iters_cold"] for r in per_k.values())
+    series["time_warm"] = sum(r["time_warm"] for r in per_k.values())
+    series["time_cold"] = sum(r["time_cold"] for r in per_k.values())
+    series["iteration_reduction"] = 1.0 - (
+        series["iters_warm"] / series["iters_cold"]
+    )
+    it_per_k = out["lprg_it"]["per_k"].values()
+    out["lprg_it"]["iterations"] = sum(r["iterations"] for r in it_per_k)
+    out["lprg_it"]["time"] = sum(r["time"] for r in it_per_k)
     return out
 
 
@@ -145,8 +136,8 @@ def test_warmstart_regression(benchmark):
 
     banner(
         "PR 2 / warm-started LP re-solves (LPSession) on the K^2 hot path",
-        "Figure 7 costs LPRR ~K(K-1) LP solves; basis reuse + presolve must "
-        "cut the simplex work without changing a single output byte.",
+        "Figure 7 costs LPRR ~K(K-1) LP solves; basis reuse must cut the "
+        "simplex work without changing a single output byte.",
     )
     print(f"{'K':>3} {'iters cold':>11} {'iters warm':>11} {'saved':>7} "
           f"{'t cold (s)':>11} {'t warm (s)':>11} {'t scipy (s)':>12}")
@@ -156,12 +147,11 @@ def test_warmstart_regression(benchmark):
               f"{saved:>6.0%} {row['time_cold']:>11.3f} {row['time_warm']:>11.3f} "
               f"{row['time_scipy']:>12.3f}")
     red = data["lprr"]["iteration_reduction"]
-    it_red = data["lprg_it"]["iteration_reduction"]
     print(f"LPRR: allocations bitwise-identical on "
           f"{data['lprr']['identical']}/{data['lprr']['runs']} runs; "
           f"iteration reduction {red:.0%} (gate: >={MIN_REDUCTION:.0%})")
-    print(f"LPRG-it: iteration reduction {it_red:.0%}, "
-          f"max value drift {data['lprg_it']['per_k'][k_values[0]]['max_rel_diff']:.2%}")
+    print(f"LPRG-it: {data['lprg_it']['iterations']} iterations, "
+          f"{data['lprg_it']['time']:.3f}s, every allocation valid")
 
     payload = {
         "bench": "warmstart",
@@ -176,7 +166,6 @@ def test_warmstart_regression(benchmark):
     assert data["lprr"]["identical"] == data["lprr"]["runs"]
     assert data["lprr"]["iters_warm"] < data["lprr"]["iters_cold"]
     assert red >= MIN_REDUCTION, f"iteration reduction {red:.1%} below gate"
-    assert data["lprg_it"]["iters_warm"] <= data["lprg_it"]["iters_cold"]
     # The session must beat cold HiGHS at every K — no size cliff left.
     for k, row in data["lprr"]["per_k"].items():
         assert row["time_warm"] < row["time_scipy"], (

@@ -17,10 +17,12 @@
 # BENCH_warmstart.json.
 #
 # The simplex-core step gates the revised engine (repro/lp/revised.py +
-# repro/lp/basis_lu.py): the engine/session/tableau suites run
-# explicitly, and the core smoke (bench_simplex_core.py) asserts the
-# LU-factorized warm chains beat cold HiGHS on large-K LPRR pin chains
-# and on B&B bound-flip chains; it refreshes BENCH_simplex_core.json.
+# repro/lp/basis_lu.py), the package's only simplex: its two engine
+# suites (machinery, and the HiGHS-checked simplex contract with its
+# numerical hazards) and the session suite run explicitly, and the
+# core smoke (bench_simplex_core.py) asserts the LU-factorized warm
+# chains beat cold HiGHS on large-K LPRR pin chains and on B&B
+# bound-flip chains; it refreshes BENCH_simplex_core.json.
 #
 # The API step re-runs the public-surface snapshot + examples smoke on
 # their own (fast, loud names in the log), and the api-reuse smoke gates

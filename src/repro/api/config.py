@@ -7,7 +7,9 @@ library grew — the PR-1 campaign options (``jobs``, ``chunk_size``,
 ``lp_backend``), and the per-method algorithm options — lives in one
 frozen dataclass that validates on construction, round-trips through
 ``to_dict``/``from_dict``, and rejects unknown option names with a
-did-you-mean suggestion instead of silently ignoring them.
+did-you-mean suggestion instead of silently ignoring them (a removed
+option is named as removed, see
+:data:`repro.heuristics.base.REMOVED_OPTIONS`).
 
 Per-method options are *typed sub-configs* (:class:`GreedyOptions`,
 :class:`LPRROptions`, ...): the config carries exactly one, matching its
@@ -26,7 +28,11 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.objectives import get_objective
-from repro.heuristics.base import get_heuristic, unknown_option_error
+from repro.heuristics.base import (
+    check_lp_backend,
+    get_heuristic,
+    unknown_option_error,
+)
 from repro.parallel.engine import RetryPolicy
 from repro.util.errors import SolverError
 
@@ -34,14 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distrib.supervise import SupervisionOptions
     from repro.dynamic.options import DynamicOptions
     from repro.obs.options import TelemetryOptions
-
-#: backends accepted by the session-consuming heuristics (mirrors
-#: :func:`repro.lp.session.resolve_lp_backend`)
-LP_BACKENDS = ("auto", "session", "scipy")
-
-#: simplex engines an LP session can run on (mirrors
-#: :data:`repro.lp.session.LP_ENGINES`)
-LP_ENGINES = ("revised", "tableau")
 
 #: built-in shard executor backends (mirrors
 #: :data:`repro.distrib.SHARD_BACKENDS`; custom registered backends are
@@ -149,21 +147,12 @@ class SolverConfig:
         own ``rng``. ``None`` draws fresh entropy per call (the legacy
         default).
     lp_backend, warm_start:
-        The PR-2 LP re-solve knobs, applied to every method that
-        supports them (LPRR, iterated LPRG, branch-and-bound).
-    lp_engine:
-        Which simplex engine LP sessions run on: ``"revised"`` (the
-        LU-factorized bounded revised simplex, the default — no
-        instance-size cliff) or ``"tableau"`` (the legacy dense
-        two-phase tableau, kept as an arithmetic reference). Applied to
-        every session-consuming method.
-    share_bases:
-        Opt in to cross-call basis sharing: sessions publish their
-        final optimal basis to the solver's LP build cache and later
-        sessions on the same instance template seed from it. Off by
-        default (a seeded basis makes results depend on batch history);
-        requires ``jobs=1`` because worker processes do not share the
-        cache, so results would depend on the chunking otherwise.
+        The LP re-solve knobs, applied to every method that supports
+        them. ``lp_backend`` is ``"session"`` (default: warm-started
+        revised-simplex :class:`~repro.lp.session.LPSession`) or
+        ``"scipy"`` (a fresh HiGHS solve per LP) and applies to LPRR and
+        iterated LPRG; ``warm_start`` applies to LPRR, branch-and-bound
+        and :meth:`~repro.api.Solver.run_online`.
     jobs, chunk_size:
         The PR-1 process-pool knobs for ``solve_many``/``sweep``
         (results are bitwise-identical for any value).
@@ -241,10 +230,8 @@ class SolverConfig:
     method: str = "lprg"
     objective: "str | None" = None
     seed: "int | None" = None
-    lp_backend: str = "auto"
+    lp_backend: str = "session"
     warm_start: bool = True
-    lp_engine: str = "revised"
-    share_bases: bool = False
     jobs: int = 1
     chunk_size: "int | None" = None
     checkpoint: "str | None" = None
@@ -267,22 +254,7 @@ class SolverConfig:
             object.__setattr__(
                 self, "objective", get_objective(self.objective).name
             )
-        if self.lp_backend not in LP_BACKENDS:
-            raise SolverError(
-                f"lp_backend must be one of {LP_BACKENDS}, "
-                f"got {self.lp_backend!r}"
-            )
-        if self.lp_engine not in LP_ENGINES:
-            raise SolverError(
-                f"lp_engine must be one of {LP_ENGINES}, "
-                f"got {self.lp_engine!r}"
-            )
-        if self.share_bases and self.jobs > 1:
-            raise SolverError(
-                "share_bases requires jobs=1: worker processes do not "
-                "share the basis cache, so results would depend on the "
-                "chunking"
-            )
+        check_lp_backend(self.lp_backend)
         if self.seed is not None:
             if not isinstance(self.seed, (int, np.integer)):
                 raise SolverError(
@@ -440,10 +412,6 @@ class SolverConfig:
             kwargs["warm_start"] = self.warm_start
         if "lp_backend" in heuristic.option_names:
             kwargs["lp_backend"] = self.lp_backend
-        if "lp_engine" in heuristic.option_names:
-            kwargs["lp_engine"] = self.lp_engine
-        if "share_bases" in heuristic.option_names:
-            kwargs["share_bases"] = self.share_bases
         return kwargs
 
     # ------------------------------------------------------------------
@@ -455,8 +423,6 @@ class SolverConfig:
             "seed": self.seed,
             "lp_backend": self.lp_backend,
             "warm_start": self.warm_start,
-            "lp_engine": self.lp_engine,
-            "share_bases": self.share_bases,
             "jobs": self.jobs,
             "chunk_size": self.chunk_size,
             "checkpoint": self.checkpoint,

@@ -41,8 +41,9 @@ class SolveReport(HeuristicResult):
     @property
     def lp_stats(self) -> "dict | None":
         """Per-run LP session statistics, when the method recorded any
-        (simplex iteration counts, warm/cold solve split, presolve
-        eliminations — see :class:`repro.lp.session.SessionStats`)."""
+        (simplex iteration counts, warm/cold solve split, dual repair
+        steps, HiGHS fallbacks — see
+        :class:`repro.lp.session.SessionStats`)."""
         return self.meta.get("lp_stats")
 
     @classmethod

@@ -590,11 +590,11 @@ class Solver:
           ``(scenario, events, config, rng)``.
 
         The run honors ``config.dynamic`` (:class:`~repro.dynamic.
-        options.DynamicOptions`), ``config.lp_engine`` (must be
-        ``"revised"``) and ``config.warm_start`` (``False`` re-solves
-        cold at every event — same answers, no pivot savings), and
-        shares this solver's LP build cache, so structural churn events
-        rebuilding a previously seen payoff mix hit the template cache.
+        options.DynamicOptions`) and ``config.warm_start`` (``False``
+        re-solves cold at every event — same answers, no pivot
+        savings), and shares this solver's LP build cache, so structural
+        churn events rebuilding a previously seen payoff mix hit the
+        template cache.
         Returns a :class:`~repro.dynamic.online.DisruptionReport`.
         """
         from repro.api.scenarios import scenario_registry
@@ -628,7 +628,6 @@ class Solver:
                 scheduler = OnlineScheduler(
                     problem,
                     options=self.config.dynamic,
-                    engine=self.config.lp_engine,
                     warm_start=self.config.warm_start,
                 )
                 return scheduler.run(trace)

@@ -270,11 +270,6 @@ class OnlineScheduler:
         capacities, availability and payoffs evolve with the trace.
     options:
         :class:`DynamicOptions` (defaults apply when omitted).
-    engine:
-        Must be ``"revised"`` — the bitwise oracle contract relies on
-        the full-program revised path (the tableau engine's presolve
-        changes the program shape between solves, which breaks the
-        shared basis-token coordinates the support crossover needs).
     warm_start:
         ``False`` makes every incremental re-solve start cold
         (``solve(warm_basis=None)``) while keeping the same session and
@@ -288,7 +283,6 @@ class OnlineScheduler:
         self,
         problem: SteadyStateProblem,
         options: "DynamicOptions | None" = None,
-        engine: str = "revised",
         warm_start: bool = True,
         max_iter: int = 100_000,
     ):
@@ -298,16 +292,8 @@ class OnlineScheduler:
             raise SolverError(
                 f"options must be a DynamicOptions, got {options!r}"
             )
-        if engine != "revised":
-            raise SolverError(
-                f'OnlineScheduler requires engine="revised", got {engine!r} '
-                "(the bitwise oracle contract needs the full-program "
-                "revised path; tableau presolve reshapes the program "
-                "between solves)"
-            )
         self.problem = problem
         self.options = options
-        self.engine = engine
         self.warm_start = bool(warm_start)
         self.max_iter = int(max_iter)
         base = problem.platform
@@ -431,14 +417,13 @@ class OnlineScheduler:
             # Both sessions are *warm-capable* and share the mutated
             # instance. The oracle is made cold per call
             # (solve(warm_basis=None)) rather than per session
-            # (warm_start=False) because the cold-reference path never
-            # records a final basis — and the support crossover needs
-            # warm re-solves from an explicit token on both sides.
+            # (warm_start=False) because a cold session ignores every
+            # basis token — and the support crossover needs warm
+            # re-solves from an explicit token on both sides.
             self._session = LPSession(
                 instance,
                 warm_start=True,
                 max_iter=self.max_iter,
-                engine=self.engine,
                 canon="all",
             )
             self._oracle = (
@@ -446,7 +431,6 @@ class OnlineScheduler:
                     instance,
                     warm_start=True,
                     max_iter=self.max_iter,
-                    engine=self.engine,
                     canon="all",
                 )
                 if self.options.check_oracle

@@ -95,6 +95,28 @@ class HeuristicResult:
         )
 
 
+#: values of the ``lp_backend`` option of the LP re-solving methods:
+#: a warm-started :class:`~repro.lp.session.LPSession`, or a fresh HiGHS
+#: solve per LP (the reference path)
+LP_BACKENDS = ("session", "scipy")
+
+#: option names that no longer exist, mapped to why they went — so a
+#: stale caller is told what happened instead of being offered the
+#: nearest surviving name
+REMOVED_OPTIONS = {
+    "lp_engine": "the revised simplex is the only LP engine",
+    "share_bases": "cross-session basis sharing was deleted",
+}
+
+
+def check_lp_backend(value) -> None:
+    """Raise :class:`SolverError` unless ``value`` is in :data:`LP_BACKENDS`."""
+    if value not in LP_BACKENDS:
+        raise SolverError(
+            f"lp_backend must be one of {LP_BACKENDS}, got {value!r}"
+        )
+
+
 class Heuristic:
     """Base class: subclasses implement :meth:`_solve` and set ``name``."""
 
@@ -129,7 +151,16 @@ class Heuristic:
         rng: "int | np.random.Generator | None" = None,
         **kwargs,
     ) -> HeuristicResult:
-        """Solve ``problem``, timing the algorithm body."""
+        """Solve ``problem``, timing the algorithm body.
+
+        Options outside :attr:`option_names` raise :class:`SolverError`
+        naming the nearest valid one, as does an unknown ``lp_backend``.
+        """
+        for key in kwargs:
+            if key not in self.option_names:
+                raise unknown_option_error(key, self.name, self.option_names)
+        if "lp_backend" in kwargs:
+            check_lp_backend(kwargs["lp_backend"])
         rng = ensure_rng(rng)
         start = time.perf_counter()
         result = self._solve(problem, rng, **kwargs)
@@ -193,8 +224,13 @@ def unknown_option_error(option: str, method: str, valid) -> SolverError:
     heuristics' catch-all signatures, where they were silently ignored —
     a typo like ``eager_integer_fixng=True`` changed nothing and said
     nothing. Every public entry point now rejects unknown names through
-    this helper, naming the nearest valid option.
+    this helper, naming the nearest valid option — or, for a name in
+    :data:`REMOVED_OPTIONS`, saying that it was removed and why.
     """
+    if option in REMOVED_OPTIONS:
+        return SolverError(
+            f"option {option!r} was removed: {REMOVED_OPTIONS[option]}"
+        )
     valid = sorted(valid)
     message = f"unknown option {option!r} for method {method!r}"
     suggestion = nearest_name(option, valid)

@@ -33,7 +33,7 @@ class LPBound(Heuristic):
     deterministic = True
 
     def _solve(
-        self, problem: SteadyStateProblem, rng: np.random.Generator, **kwargs
+        self, problem: SteadyStateProblem, rng: np.random.Generator
     ) -> HeuristicResult:
         solution = solve_lp_scipy(build_lp(problem))
         allocation = solution.to_allocation() if solution.is_integral else None
@@ -64,7 +64,6 @@ class MILPExact(Heuristic):
         problem: SteadyStateProblem,
         rng: np.random.Generator,
         time_limit: "float | None" = None,
-        **kwargs,
     ) -> HeuristicResult:
         solution = solve_milp_scipy(build_lp(problem), time_limit=time_limit)
         return HeuristicResult(
@@ -85,7 +84,7 @@ class BranchAndBoundExact(Heuristic):
     name = "bnb"
     aliases = ("branch-and-bound",)
     description = "exact optimum via LP-based branch-and-bound (small K)"
-    option_names = ("lp_engine", "max_nodes", "warm_start")
+    option_names = ("max_nodes", "warm_start")
     uses_lp = True
     deterministic = True
 
@@ -95,14 +94,9 @@ class BranchAndBoundExact(Heuristic):
         rng: np.random.Generator,
         max_nodes: int = 10_000,
         warm_start: bool = True,
-        lp_engine: str = "revised",
-        **kwargs,
     ) -> HeuristicResult:
         result = solve_branch_and_bound(
-            build_lp(problem),
-            max_nodes=max_nodes,
-            warm_start=warm_start,
-            engine=lp_engine,
+            build_lp(problem), max_nodes=max_nodes, warm_start=warm_start
         )
         if result.solution is None:
             raise SolverError("branch-and-bound found no integral solution")

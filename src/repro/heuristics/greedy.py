@@ -150,7 +150,6 @@ class GreedyHeuristic(Heuristic):
         problem: SteadyStateProblem,
         rng: np.random.Generator,
         selection: str = "intuition",
-        **kwargs,
     ) -> HeuristicResult:
         alloc = greedy_allocate(problem, selection=selection)
         return HeuristicResult(

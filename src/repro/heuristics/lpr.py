@@ -70,7 +70,7 @@ class LPRHeuristic(Heuristic):
     deterministic = True
 
     def _solve(
-        self, problem: SteadyStateProblem, rng: np.random.Generator, **kwargs
+        self, problem: SteadyStateProblem, rng: np.random.Generator
     ) -> HeuristicResult:
         instance = build_lp(problem)
         relaxed = solve_lp_scipy(instance)

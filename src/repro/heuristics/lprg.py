@@ -53,7 +53,7 @@ class LPRGHeuristic(Heuristic):
     deterministic = True
 
     def _solve(
-        self, problem: SteadyStateProblem, rng: np.random.Generator, **kwargs
+        self, problem: SteadyStateProblem, rng: np.random.Generator
     ) -> HeuristicResult:
         instance = build_lp(problem)
         relaxed = solve_lp_scipy(instance)

@@ -10,7 +10,7 @@ iterations sit between LPRG (1 solve) and LPRR (~K^2 solves) on the
 cost/quality spectrum of Figure 7 — the natural "what's between LPRG and
 LPRR?" question the paper leaves open.
 
-With ``lp_backend="auto"``/``"session"`` the residual re-solves run
+With the default ``lp_backend="session"`` the residual re-solves run
 through an :class:`~repro.lp.session.LPSession`: instead of
 snapshotting the ledger into a fresh ``Platform`` and re-assembling the
 whole LP each round (``residual_platform`` + ``build_lp``), the session
@@ -21,8 +21,8 @@ Each round re-solves **cold**: a residual rewrite moves the optimum
 wholesale, and measurement shows the previous optimal basis is then a
 *worse* starting point than a fresh start (the repair path wanders
 through the degenerate residual face), so — unlike LPRR's
-one-pin-per-solve chain — basis carry is deliberately not used here
-and ``warm_start`` has no effect on this method's session path.
+one-pin-per-solve chain — basis carry is deliberately not used here,
+and the method has no ``warm_start`` option.
 ``lp_backend="scipy"`` restores the original rebuild-from-scratch
 HiGHS path, which doubles as the equivalence reference in the tests.
 """
@@ -39,7 +39,7 @@ from repro.heuristics.lpr import round_down
 from repro.heuristics.lprg import charge_ledger
 from repro.lp.builder import build_lp
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.session import LPSession, resolve_lp_backend
+from repro.lp.session import LPSession
 from repro.platform.cluster import Cluster
 from repro.platform.links import BackboneLink
 from repro.platform.routing import Route
@@ -148,13 +148,7 @@ class IteratedLPRGHeuristic(Heuristic):
     name = "lprg-it"
     aliases = ("lprgi", "iterated-lprg")
     description = "iterated LPRG: residual LP re-solves between roundings (extension)"
-    option_names = (
-        "lp_backend",
-        "lp_engine",
-        "max_iters",
-        "share_bases",
-        "warm_start",
-    )
+    option_names = ("lp_backend", "max_iters")
     uses_lp = True
     deterministic = True
 
@@ -163,11 +157,7 @@ class IteratedLPRGHeuristic(Heuristic):
         problem: SteadyStateProblem,
         rng: np.random.Generator,
         max_iters: int = 4,
-        warm_start: bool = True,
-        lp_backend: str = "auto",
-        lp_engine: str = "revised",
-        share_bases: bool = False,
-        **kwargs,
+        lp_backend: str = "session",
     ) -> HeuristicResult:
         if max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -177,17 +167,11 @@ class IteratedLPRGHeuristic(Heuristic):
         total = Allocation.zeros(K)
         n_solves = 0
 
-        instance = build_lp(problem)
-        lp_backend = resolve_lp_backend(instance, lp_backend, lp_engine)
-        meta = {"lp_backend": lp_backend, "lp_engine": lp_engine}
+        meta = {"lp_backend": lp_backend}
 
         if lp_backend == "session":
-            session = LPSession(
-                instance,
-                warm_start=warm_start,
-                engine=lp_engine,
-                share_bases=share_bases,
-            )
+            instance = build_lp(problem)
+            session = LPSession(instance)
             updater = _ResidualUpdater(problem, instance)
             for _ in range(max_iters):
                 updater.apply(ledger, total.throughputs)

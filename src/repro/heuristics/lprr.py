@@ -18,15 +18,13 @@ Two variants used by the ablation benchmarks:
   after each solve instead of one route per solve; an engineering
   optimisation that slashes LP count, measured in the same benchmark.
 
-The K^2 re-solve loop runs through a warm-started
-:class:`~repro.lp.session.LPSession` on small instances (the
-``lp_backend="auto"`` default applies :func:`~repro.lp.session.
-prefer_session`; pass ``"session"``/``"scipy"`` to force a backend):
-each intermediate LP is presolved (every fixed beta shrinks the
-program) and seeded with the previous optimal basis. The *final* solve
-— the one whose solution becomes the returned allocation — always runs
-through the session's cold full-program path, so ``warm_start=True``
-and ``warm_start=False`` produce bitwise-identical allocations whenever
+With the default ``lp_backend="session"`` the K^2 re-solve loop runs
+through a warm-started :class:`~repro.lp.session.LPSession`: each
+intermediate LP pins one more beta in place and is seeded with the
+previous optimal basis (and its LU factorization). The *final* solve —
+the one whose solution becomes the returned allocation — always runs
+through the session's cold path, so ``warm_start=True`` and
+``warm_start=False`` produce bitwise-identical allocations whenever
 their intermediate rounding decisions agree (checked by
 ``benchmarks/bench_warmstart.py``). ``lp_backend="scipy"`` restores the
 pre-session behaviour (fresh ``with_bounds`` copy + HiGHS per solve) as
@@ -44,7 +42,7 @@ from repro.core.problem import SteadyStateProblem
 from repro.heuristics.base import Heuristic, HeuristicResult, register_heuristic
 from repro.lp.builder import build_lp
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.session import LPSession, resolve_lp_backend
+from repro.lp.session import LPSession
 from repro.lp.solution import INTEGRALITY_TOL
 
 
@@ -78,13 +76,7 @@ class _LPRRBase(Heuristic):
     """Shared implementation; subclasses pin the rounding probability."""
 
     equal_probability = False
-    option_names = (
-        "eager_integer_fixing",
-        "lp_backend",
-        "lp_engine",
-        "share_bases",
-        "warm_start",
-    )
+    option_names = ("eager_integer_fixing", "lp_backend", "warm_start")
     uses_lp = True
     deterministic = False
 
@@ -94,23 +86,14 @@ class _LPRRBase(Heuristic):
         rng: np.random.Generator,
         eager_integer_fixing: bool = False,
         warm_start: bool = True,
-        lp_backend: str = "auto",
-        lp_engine: str = "revised",
-        share_bases: bool = False,
-        **kwargs,
+        lp_backend: str = "session",
     ) -> HeuristicResult:
         platform = problem.platform
         instance = build_lp(problem)
         index = instance.index
-        lp_backend = resolve_lp_backend(instance, lp_backend, lp_engine)
 
         if lp_backend == "session":
-            session = LPSession(
-                instance,
-                warm_start=warm_start,
-                engine=lp_engine,
-                share_bases=share_bases,
-            )
+            session = LPSession(instance, warm_start=warm_start)
             lb, ub = instance.lb, instance.ub  # mutated in place
 
             def lp_solve():
@@ -161,7 +144,7 @@ class _LPRRBase(Heuristic):
         final = lp_solve_final()
         n_solves += 1
         alloc = Allocation(final.alpha, np.round(final.beta).astype(np.int64))
-        meta = {"lp_backend": lp_backend, "lp_engine": lp_engine}
+        meta = {"lp_backend": lp_backend}
         if session is not None:
             meta["lp_stats"] = session.stats.as_dict()
         return HeuristicResult(

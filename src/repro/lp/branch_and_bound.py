@@ -12,9 +12,9 @@ With ``warm_start=True`` (the default) every node re-solves through one
 :class:`~repro.lp.session.LPSession`: the child LP differs from its
 parent only in one beta's box bounds, so each child solve is seeded with
 its *parent's* optimal basis (carried per node through the best-first
-heap) and usually needs a handful of pivots instead of a full cold
-two-phase run. ``warm_start=False`` keeps the original rebuild+HiGHS
-path as the reference.
+heap) and usually needs a handful of dual pivots instead of a full cold
+solve. ``warm_start=False`` keeps the original rebuild+HiGHS path as
+the reference.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.lp.builder import LPInstance
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.session import LPSession, prefer_session
+from repro.lp.session import LPSession
 from repro.lp.solution import LPSolution
 from repro.util.errors import InfeasibleError, SolverError
 
@@ -76,7 +76,6 @@ def solve_branch_and_bound(
     instance: LPInstance,
     max_nodes: int = 10_000,
     warm_start: bool = True,
-    engine: str = "revised",
 ) -> BranchAndBoundResult:
     """Best-first branch-and-bound over the integer betas.
 
@@ -94,22 +93,16 @@ def solve_branch_and_bound(
         beta's box bounds, so the revised engine's dual simplex usually
         repairs the carried basis in a handful of pivots.
         ``False`` uses cold HiGHS per node.
-    engine:
-        Simplex engine for the session (``"revised"`` or
-        ``"tableau"``). With ``"tableau"``, warm starting applies only
-        while the instance is small enough for the dense tableau to win
-        (:func:`~repro.lp.session.prefer_session`).
     """
     counter = itertools.count()  # tie-breaker: heapq needs total order
     incumbent: "LPSolution | None" = None
     incumbent_value = -math.inf
     nodes = 0
 
-    if warm_start and prefer_session(instance, engine):
+    if warm_start:
         # The session owns (and mutates) a private bounds copy.
         session = LPSession(
-            instance.with_bounds(instance.lb.copy(), instance.ub.copy()),
-            engine=engine,
+            instance.with_bounds(instance.lb.copy(), instance.ub.copy())
         )
 
         def node_solve(lb, ub, parent_basis):

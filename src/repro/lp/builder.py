@@ -216,14 +216,11 @@ class LPBuildCache:
         self.max_entries = int(max_entries)
         self._templates: "dict[tuple, LPInstance]" = {}
         self._dense: "dict[int, tuple]" = {}
-        self._bases: "dict[int, tuple]" = {}
         self._lock = threading.RLock()
         self.build_hits = 0
         self.cold_builds = 0
         self.dense_hits = 0
         self.dense_builds = 0
-        self.basis_hits = 0
-        self.basis_stores = 0
 
     # ------------------------------------------------------------------
     def key_for(
@@ -276,8 +273,7 @@ class LPBuildCache:
         Keyed by the identity of the CSR matrix (which ``fresh_copy``
         and ``with_bounds`` share); the entry keeps a strong reference
         to the CSR so the id cannot be recycled while the cache lives.
-        Consumers only read the array (``simplex_solve`` copies into its
-        own tableau), so sharing is safe.
+        Consumers only read the array, so sharing is safe.
         """
         with self._lock:
             key = id(instance.A_ub)
@@ -296,34 +292,6 @@ class LPBuildCache:
                 self.dense_hits += 1
             return entry[1]
 
-    # ------------------------------------------------------------------
-    def stored_basis(self, instance: LPInstance):
-        """Last shared optimal-basis token for ``instance``'s template.
-
-        Keyed — like :meth:`dense_matrix` — by the identity of the CSR
-        matrix all copies of a template share, so only solves of the
-        *same* assembled program (same platform, objective and payoffs)
-        ever exchange bases. Opt-in: only sessions constructed with
-        ``share_bases=True`` read or write this store, because a seeded
-        basis makes results depend on what the cache solved before
-        (degenerate LPs admit multiple optimal vertices).
-        """
-        with self._lock:
-            entry = self._bases.get(id(instance.A_ub))
-            if entry is None or entry[0] is not instance.A_ub:
-                return None
-            self.basis_hits += 1
-            return entry[1]
-
-    def store_basis(self, instance: LPInstance, basis) -> None:
-        """Publish ``instance``'s latest optimal basis for later sessions."""
-        with self._lock:
-            self._bases[id(instance.A_ub)] = (instance.A_ub, basis)
-            self.basis_stores += 1
-            while len(self._bases) > self.max_entries:
-                oldest = next(iter(self._bases))
-                del self._bases[oldest]
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -331,8 +299,6 @@ class LPBuildCache:
                 "build_hits": self.build_hits,
                 "dense_builds": self.dense_builds,
                 "dense_hits": self.dense_hits,
-                "basis_hits": self.basis_hits,
-                "basis_stores": self.basis_stores,
                 "templates": len(self._templates),
             }
 

@@ -1,10 +1,10 @@
 """Bounded-variable revised simplex over an LU-factorized basis.
 
-This is the warm-start engine the K^2 heuristic hot paths run on
-(:class:`repro.lp.session.LPSession` with ``engine="revised"``, the
-default). Where :mod:`repro.lp.simplex` rewrites a dense O(m·n) tableau
-on every pivot and turns every finite upper bound into an extra row,
-this solver works on the original data:
+This is the package's own LP engine — the stand-in for the paper's
+``lp_solve`` — and the one the K^2 heuristic hot paths re-solve with
+(:class:`repro.lp.session.LPSession`); HiGHS remains the independent
+check and the session's iteration-limit fallback. It works on the
+original data, with no extra rows for upper bounds:
 
 * problem form: ``maximize c @ x  s.t.  A @ x <= b,  lb <= x <= ub``
   with finite lower bounds and optional finite upper bounds, handled
@@ -13,9 +13,8 @@ this solver works on the original data:
   bound is a bound flip (no basis change at all);
 * each iteration prices with one BTRAN and one FTRAN against the
   LU-factorized basis (:class:`repro.lp.basis_lu.LUBasis`), so a pivot
-  costs O(m^2 + m·n) flops instead of a full tableau rewrite, and the
-  factorization is carried across pivots by product-form eta updates
-  with periodic refactorization;
+  costs O(m^2 + m·n) flops, and the factorization is carried across
+  pivots by product-form eta updates with periodic refactorization;
 * **primal** iterations (Dantzig pricing, Bland's rule engaged after a
   degenerate stall) solve from a primal-feasible basis; **dual**
   iterations re-solve from a dual-feasible one — the warm-start case
@@ -246,8 +245,8 @@ def _primal_loop(
         if not np.isfinite(t_basic):
             return "unbounded"
 
-        # relative tie set (the Bland fix of the tableau solver, here by
-        # construction): a large-magnitude minimum still collects its ties
+        # relative tie set, so a large-magnitude minimum still collects
+        # its ties and Bland's tie-break sees all of them
         tie_tol = _OPT_TOL * max(1.0, abs(t_basic))
         tied = np.nonzero(t <= t_basic + tie_tol)[0]
         if degen_streak > _DEGEN_LIMIT:

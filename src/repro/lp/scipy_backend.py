@@ -1,7 +1,7 @@
 """HiGHS backend for the rational relaxation (scipy.optimize.linprog).
 
 This is the production solver; the paper used the ``lp_solve`` Simplex
-package, for which :mod:`repro.lp.simplex` is the in-repo stand-in.
+package, for which :mod:`repro.lp.revised` is the in-repo stand-in.
 """
 
 from __future__ import annotations

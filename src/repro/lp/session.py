@@ -11,39 +11,25 @@ exploits exactly that structure:
   new data into the owned instance (no ``with_bounds`` copy, no
   ``build_lp`` re-assembly);
 * **warm start** — the optimal basis of the previous solve is carried
-  across calls (via original-coordinate keys, so tokens survive
-  engine-specific reformulation) and seeds the simplex engine, which
-  skips phase 1 whenever the carried basis is still usable.
+  across calls (via original-coordinate keys) and seeds the simplex,
+  which skips phase 1 whenever the carried basis is still usable.
 
-Two engines share this machinery (``engine=`` knob):
-
-* ``"revised"`` (default) — the bounded-variable revised simplex over
-  an LU-factorized basis (:mod:`repro.lp.revised`): upper bounds are
-  handled natively (no extra rows), each pivot costs one FTRAN/BTRAN
-  pair against the factorization instead of a dense tableau rewrite,
-  and a carried basis that bound/RHS edits left dual-feasible but
-  primal-infeasible (branch-and-bound children, iterated-LPRG
-  tightening) is repaired by *dual* simplex steps — no phase-1
-  restart. It always solves the **full** program: fixed variables are
-  frozen out of pricing rather than eliminated, so the carried basis
-  (and its live LU factorization, kept across solves) maps one-to-one
-  every time instead of going singular against a shrinking column
-  set. There is no instance-size cliff: the session path stays
-  preferable at every K (:func:`prefer_session`).
-* ``"tableau"`` — the legacy dense two-phase tableau
-  (:mod:`repro.lp.simplex`), kept as an arithmetic reference. Its warm
-  path **presolves**: variables fixed by ``lb == ub`` are eliminated
-  (their contribution folded into the RHS) and rows that can never
-  bind within the remaining box are dropped, because a narrower
-  tableau is the only way to keep O(m·n) pivot rewrites competitive.
-  The old :data:`AUTO_SIZE_LIMIT` policy applies to it, since past
-  ~200 columns+rows the tableau loses to a cold HiGHS call anyway.
+The engine is the bounded-variable revised simplex over an
+LU-factorized basis (:mod:`repro.lp.revised`): upper bounds are handled
+natively (no extra rows), each pivot costs one FTRAN/BTRAN pair against
+the factorization, and a carried basis that bound/RHS edits left
+dual-feasible but primal-infeasible (branch-and-bound children,
+iterated-LPRG tightening) is repaired by *dual* simplex steps — no
+phase-1 restart. It always solves the **full** program: fixed variables
+are frozen out of pricing rather than eliminated, so the carried basis
+(and its live LU factorization, kept across solves) maps one-to-one
+every time instead of going singular against a shrinking column set.
 
 ``LPSession(instance, warm_start=False)`` is the escape hatch /
-reference: every solve then runs the *full* program cold (no presolve,
-no basis reuse) through the same engine, so warm-vs-cold output can be
-compared bitwise. HiGHS (:func:`repro.lp.scipy_backend.solve_lp_scipy`)
-stays the independent cross-check — the test-suite verifies session
+reference: every solve then runs cold (no basis reuse) through the same
+engine, so warm-vs-cold output can be compared bitwise. HiGHS
+(:func:`repro.lp.scipy_backend.solve_lp_scipy`) stays the independent
+cross-check — the test-suite verifies session
 objective values against fresh cold HiGHS solves — and serves as the
 in-session fallback if the simplex ever hits its iteration limit or
 goes numerically bad.
@@ -55,18 +41,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.lp.builder import LPInstance
+from repro.lp.builder import LPInstance, active_build_cache
 from repro.lp.revised import revised_solve
 from repro.obs.trace import current_tracer
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.simplex import simplex_solve
 from repro.lp.solution import LPSolution
 from repro.util.errors import InfeasibleError, UnboundedError
-
-#: slack when deciding a fully-eliminated row is violated by fixed values
-_ROW_FEAS_TOL = 1e-7
-#: slack when a row's maximum activity proves it can never bind
-_REDUNDANT_TOL = 1e-9
 
 #: sentinel distinguishing "use the session's carried basis" from an
 #: explicit None (= force a cold start for this call)
@@ -79,81 +59,25 @@ _AUTO = object()
 _PHI = 0.6180339887498949
 
 
-def _canon_weights(
-    ub: np.ndarray, orig_cols: np.ndarray, all_columns: bool = False
-) -> np.ndarray:
-    """Secondary-objective weights for the revised engine's vertex
-    canonicalization (:func:`repro.lp.revised._canonicalize`).
+def _canon_weights(ub: np.ndarray, all_columns: bool = False) -> np.ndarray:
+    """Secondary-objective weights for the vertex canonicalization
+    (:func:`repro.lp.revised._canonicalize`).
 
-    Keyed by *original* column index so the full cold program and every
-    presolve-reduced program canonicalize their shared optimal face to
-    the same point — that is what makes warm and cold session solves
-    report identical solutions on degenerate LPs. By default columns
-    with infinite upper bound get weight zero (an optimal face can be
-    unbounded along them, and the heuristics' rounding decisions only
-    consume the finite-bounded betas anyway); ``all_columns`` weights
-    every structural column — only sound when the caller knows the
-    optimal face is bounded along all of them, as program-(7) faces are
-    (the compute rows cap the alphas, the maxmin rows cap ``t``).
+    A pure function of the column index and the box, so warm and cold
+    session solves canonicalize their shared optimal face to the same
+    point — that is what makes them report identical solutions on
+    degenerate LPs. By default columns with infinite upper bound get
+    weight zero (an optimal face can be unbounded along them, and the
+    heuristics' rounding decisions only consume the finite-bounded betas
+    anyway); ``all_columns`` weights every structural column — only
+    sound when the caller knows the optimal face is bounded along all of
+    them, as program-(7) faces are (the compute rows cap the alphas, the
+    maxmin rows cap ``t``).
     """
-    w = 1.0 + (orig_cols * _PHI) % 1.0
+    w = 1.0 + (np.arange(ub.shape[0]) * _PHI) % 1.0
     if not all_columns:
         w = np.where(np.isfinite(ub), w, 0.0)
     return w
-
-#: the simplex engines an :class:`LPSession` can run on
-LP_ENGINES = ("revised", "tableau")
-
-#: largest ``n_vars + n_rows`` for which the dense-**tableau** session
-#: beats a cold HiGHS call per solve (measured on the reference LPRR
-#: sweep: ~1.8x faster at K=6, break-even near K=8, slower beyond).
-#: Only consulted for ``engine="tableau"`` — the revised engine has no
-#: size cliff.
-AUTO_SIZE_LIMIT = 200
-
-
-def _check_engine(engine: str) -> None:
-    if engine not in LP_ENGINES:
-        raise ValueError(
-            f"engine must be one of {LP_ENGINES}, got {engine!r}"
-        )
-
-
-def prefer_session(instance: LPInstance, engine: str = "revised") -> bool:
-    """Should the ``lp_backend="auto"`` policy re-solve via a session?
-
-    With the revised engine (the default): always. Warm re-solves cost
-    a handful of FTRAN/BTRAN pivots against an LU-factorized basis, so
-    the session wins at every instance size — the old dense-tableau
-    size cliff is retired. With ``engine="tableau"`` the legacy
-    :data:`AUTO_SIZE_LIMIT` policy still applies: past it, O(m*n)
-    per-pivot tableau rewrites lose to a cold HiGHS call.
-    """
-    _check_engine(engine)
-    if engine == "tableau":
-        return instance.n_vars + instance.n_rows <= AUTO_SIZE_LIMIT
-    return True
-
-
-def resolve_lp_backend(
-    instance: LPInstance, lp_backend: str, engine: str = "revised"
-) -> str:
-    """Validate an ``lp_backend`` knob and resolve ``"auto"`` for ``instance``.
-
-    Returns ``"session"`` or ``"scipy"``; raises ``ValueError`` on
-    anything else. Shared by every session-consuming heuristic so the
-    auto policy lives in exactly one place; ``engine`` feeds the
-    :func:`prefer_session` decision (the tableau engine keeps its size
-    cliff, the revised engine does not).
-    """
-    if lp_backend not in ("auto", "session", "scipy"):
-        raise ValueError(
-            f"lp_backend must be 'auto', 'session' or 'scipy', got {lp_backend!r}"
-        )
-    if lp_backend == "auto":
-        return "session" if prefer_session(instance, engine) else "scipy"
-    _check_engine(engine)
-    return lp_backend
 
 
 @dataclass
@@ -166,9 +90,6 @@ class SessionStats:
     pivots taken by the revised engine's dual simplex (carried-basis
     repairs after bound/RHS edits); ``n_fallback`` counts HiGHS rescues
     after an iteration-limited or numerically stuck simplex run.
-    ``vars_eliminated``/``rows_dropped`` count the tableau path's
-    presolve work (always zero with the revised engine, which freezes
-    fixed variables instead of eliminating them).
     """
 
     n_solves: int = 0
@@ -177,8 +98,6 @@ class SessionStats:
     n_fallback: int = 0
     iterations: int = 0
     dual_steps: int = 0
-    vars_eliminated: int = 0
-    rows_dropped: int = 0
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -187,17 +106,11 @@ class SessionStats:
 class Basis:
     """Opaque optimal-basis token, keyed in original-instance coordinates.
 
-    Each key is ``('x', var)`` (structural variable), ``('r', row)``
-    (slack of an ``A_ub`` row) or — tableau engine only — ``('u', var)``
-    (slack of the explicit upper-bound row of ``var``), so the token
-    survives presolve reducing the program to different variable/row
-    subsets between solves.
-
-    The revised engine needs one more bit per nonbasic variable: whether
-    it rests at its lower or its upper bound. ``at_upper`` carries the
-    original indices of the at-upper variables; the tableau engine
-    ignores it (its nonbasic columns are always at value zero in shifted
-    coordinates), so tokens are forward-compatible across engines.
+    Each key is ``('x', var)`` (structural variable) or ``('r', row)``
+    (slack of an ``A_ub`` row). The bounded simplex needs one more bit
+    per nonbasic variable: whether it rests at its lower or its upper
+    bound. ``at_upper`` carries the original indices of the at-upper
+    variables.
     """
 
     __slots__ = ("keys", "at_upper")
@@ -226,28 +139,11 @@ class LPSession:
         The program-(7) instance to re-solve.
     warm_start:
         ``False`` turns the session into the cold reference: every call
-        solves the full program from scratch (identical arithmetic to
-        the warm path's ``cold=True`` calls, enabling bitwise checks).
+        solves from scratch (identical arithmetic to the warm path's
+        ``cold=True`` calls, enabling bitwise checks).
     max_iter:
         Pivot budget per simplex call; exhausting it triggers one cold
         HiGHS fallback solve instead of failing.
-    dense_A:
-        Pre-densified ``A_ub`` to share across sessions (read-only).
-        When omitted and an :func:`~repro.lp.builder.use_build_cache`
-        cache is active — i.e. inside a :class:`repro.api.Solver` — the
-        cache's shared dense matrix is used; otherwise the instance is
-        densified privately, as before.
-    engine:
-        ``"revised"`` (default) or ``"tableau"`` — see the module
-        docstring. One session uses one engine for its whole lifetime.
-    share_bases:
-        Opt in to the active build cache's cross-session basis store:
-        the first solve seeds from the last optimal basis any previous
-        sharing session published for the *same template* (same
-        platform/objective/payoffs), and each optimal solve publishes
-        back. Off by default because a seeded basis makes results
-        depend on batch history (degenerate LPs admit multiple optimal
-        vertices); a no-op outside an active cache.
     canon:
         Which structural columns the vertex-canonicalization pass
         weights. ``"betas"`` (default) weights only finite-bounded
@@ -265,12 +161,8 @@ class LPSession:
         instance: LPInstance,
         warm_start: bool = True,
         max_iter: int = 100_000,
-        dense_A: "np.ndarray | None" = None,
-        engine: str = "revised",
-        share_bases: bool = False,
         canon: str = "betas",
     ):
-        _check_engine(engine)
         if canon not in ("betas", "all"):
             raise ValueError(
                 f'canon must be "betas" or "all", got {canon!r}'
@@ -278,30 +170,24 @@ class LPSession:
         self.instance = instance
         self.warm_start = bool(warm_start)
         self.max_iter = int(max_iter)
-        self.engine = engine
         self.canon = canon
         self.stats = SessionStats()
-        from repro.lp.builder import active_build_cache
-
+        # Inside a repro.api.Solver the build cache shares one read-only
+        # dense matrix across every session on the same template.
         cache = active_build_cache()
-        if dense_A is None:
-            if cache is not None:
-                dense_A = cache.dense_matrix(instance)
-            else:
-                dense_A = np.asarray(instance.A_ub.toarray(), dtype=float)
-        self._A = dense_A
+        if cache is not None:
+            self._A = cache.dense_matrix(instance)
+        else:
+            self._A = np.asarray(instance.A_ub.toarray(), dtype=float)
         #: original bounds of currently pinned variables, snapshotted at
         #: *first* fix time so fail -> fail -> recover sequences restore
         #: the true pre-pin box (first-pin-wins)
         self._pinned_bounds: dict[int, tuple[float, float]] = {}
         self._basis: "Basis | None" = None
-        #: live LU factorization of the last optimal basis (revised
-        #: engine): when the next solve carries the same basis, its
-        #: load-time refactorization is skipped entirely
+        #: live LU factorization of the last optimal basis: when the next
+        #: solve carries the same basis, its load-time refactorization is
+        #: skipped entirely
         self._lu = None
-        self._basis_store = cache if share_bases else None
-        if self._basis_store is not None:
-            self._basis = self._basis_store.stored_basis(instance)
 
     # ------------------------------------------------------------------
     @property
@@ -401,8 +287,8 @@ class LPSession:
             different parent (branch-and-bound), or ``None`` to start
             cold once while keeping the session warm.
         cold:
-            Force this call through the full-program cold-reference
-            path (used for final solves that must be bitwise-comparable
+            Solve this call from scratch, ignoring any carried basis
+            (used for final solves that must be bitwise-comparable
             against a ``warm_start=False`` session).
 
         Raises
@@ -421,69 +307,68 @@ class LPSession:
             np.copyto(inst.b_ub, b_ub)
 
         self.stats.n_solves += 1
-        tracer = current_tracer()
-        if tracer.enabled:
-            with tracer.span(
-                "session_resolve", engine=self.engine
-            ) as span:
-                iterations_before = self.stats.iterations
-                if cold or not self.warm_start:
-                    span.set(warm=False)
-                    solution = self._solve_cold_reference()
-                else:
-                    basis = self._basis if warm_basis is _AUTO else warm_basis
-                    span.set(warm=basis is not None)
-                    if self.engine == "revised":
-                        solution = self._solve_revised(basis)
-                    else:
-                        solution = self._solve_reduced(basis)
-                span.set(
-                    iterations=self.stats.iterations - iterations_before,
-                    n_solves=self.stats.n_solves,
-                )
-            return solution
         if cold or not self.warm_start:
-            return self._solve_cold_reference()
-        basis = self._basis if warm_basis is _AUTO else warm_basis
-        if self.engine == "revised":
-            return self._solve_revised(basis)
-        return self._solve_reduced(basis)
+            basis = None
+        else:
+            basis = self._basis if warm_basis is _AUTO else warm_basis
+        tracer = current_tracer()
+        if not tracer.enabled:
+            return self._solve(basis)
+        with tracer.span("session_resolve") as span:
+            iterations_before = self.stats.iterations
+            span.set(warm=basis is not None)
+            solution = self._solve(basis)
+            span.set(
+                iterations=self.stats.iterations - iterations_before,
+                n_solves=self.stats.n_solves,
+            )
+        return solution
 
     # ------------------------------------------------------------------
-    def _solve_cold_reference(self) -> LPSolution:
-        """Full program, no presolve, no basis: the bitwise reference."""
+    def _solve(self, warm_basis: "Basis | None") -> LPSolution:
+        """One revised-simplex solve of the *full* program.
+
+        Fixed variables are frozen out of pricing (a carried basic one
+        is ejected by a forced dual pivot), never eliminated, so the
+        program's shape never changes between solves: the carried basis
+        maps one-to-one every time and the LU factorization itself
+        persists across solves. ``warm_basis=None`` is the cold
+        reference: no basis, no LU.
+        """
         inst = self.instance
-        self._basis = None
-        self._lu = None
-        if self.engine == "revised":
-            n = inst.obj.shape[0]
-            res = revised_solve(
-                inst.obj,
-                self._A,
-                inst.b_ub,
-                (inst.lb, inst.ub),
-                max_iter=self.max_iter,
-                canon_weights=_canon_weights(
-                    inst.ub, np.arange(n), self.canon == "all"
-                ),
-            )
-            self.stats.dual_steps += res.dual_steps
-        else:
-            res = simplex_solve(
-                inst.obj,
-                self._A,
-                inst.b_ub,
-                (inst.lb, inst.ub),
-                max_iter=self.max_iter,
-            )
+        n = inst.obj.shape[0]
+        m = inst.b_ub.shape[0]
+        init = init_up = None
+        if warm_basis is not None:
+            init, init_up = self._basis_arrays(warm_basis, n, m)
+        # Release the carried factorization before solving: a cold solve
+        # must not hold a dense LU it never reads while building its own.
+        lu, self._lu = (self._lu if init is not None else None), None
+        res = revised_solve(
+            inst.obj,
+            self._A,
+            inst.b_ub,
+            (inst.lb, inst.ub),
+            max_iter=self.max_iter,
+            initial_basis=init,
+            initial_at_upper=init_up,
+            initial_lu=lu,
+            canon_weights=_canon_weights(inst.ub, self.canon == "all"),
+        )
         self.stats.iterations += res.iterations
-        self.stats.n_cold += 1
-        if res.status == "infeasible":
-            raise InfeasibleError("LP infeasible (cold simplex)")
-        if res.status == "unbounded":
-            raise UnboundedError("LP unbounded (cold simplex)")
+        self.stats.dual_steps += res.dual_steps
+        if res.warm_started:
+            self.stats.n_warm += 1
+        else:
+            self.stats.n_cold += 1
+        if res.status in ("infeasible", "unbounded"):
+            self._basis = None
+            error = InfeasibleError if res.status == "infeasible" else UnboundedError
+            raise error(f"LP {res.status} (revised simplex)")
         if res.status != "optimal" or res.x is None:
             return self._fallback_scipy()
+        self._basis = self._basis_of(res, n)
+        self._lu = res.lu
         return LPSolution(
             x=np.asarray(res.x, dtype=float),
             value=float(res.value),
@@ -494,240 +379,24 @@ class LPSession:
         """Cold HiGHS rescue after a numerically stuck simplex run."""
         self.stats.n_fallback += 1
         self._basis = None
-        self._lu = None
         return solve_lp_scipy(self.instance)
 
     # ------------------------------------------------------------------
-    def _solve_revised(self, warm_basis: "Basis | None") -> LPSolution:
-        """Warm path of the revised engine: the *full* program, always.
-
-        Unlike the tableau path, no presolve reduction happens here —
-        the bounded revised simplex handles fixed variables natively
-        (they are frozen out of pricing; a carried basic one is ejected
-        by a forced dual pivot), so the program's shape never changes
-        between solves. That is what makes the carried basis map
-        one-to-one every time (a reduced program's shrinking column set
-        regularly turned the carried basis singular) and lets the LU
-        factorization itself persist across solves.
-        """
-        inst = self.instance
-        n = inst.obj.shape[0]
-        m = inst.b_ub.shape[0]
-        init = init_up = None
-        if warm_basis is not None:
-            init, init_up = self._basis_arrays_revised(warm_basis, n, m)
-        res = revised_solve(
-            inst.obj,
-            self._A,
-            inst.b_ub,
-            (inst.lb, inst.ub),
-            max_iter=self.max_iter,
-            initial_basis=init,
-            initial_at_upper=init_up,
-            initial_lu=self._lu if init is not None else None,
-            canon_weights=_canon_weights(
-                inst.ub, np.arange(n), self.canon == "all"
-            ),
-        )
-        self.stats.iterations += res.iterations
-        self.stats.dual_steps += res.dual_steps
-        if res.warm_started:
-            self.stats.n_warm += 1
-        else:
-            self.stats.n_cold += 1
-        if res.status == "infeasible":
-            self._basis = None
-            self._lu = None
-            raise InfeasibleError("LP infeasible (revised simplex)")
-        if res.status == "unbounded":
-            self._basis = None
-            self._lu = None
-            raise UnboundedError("LP unbounded (revised simplex)")
-        if res.status != "optimal" or res.x is None:
-            return self._fallback_scipy()
-        self._basis = self._basis_of_revised(res, n)
-        self._lu = res.lu
-        if self._basis_store is not None:
-            self._basis_store.store_basis(inst, self._basis)
-        return LPSolution(
-            x=np.asarray(res.x, dtype=float),
-            value=float(res.value),
-            index=inst.index,
-        )
-
-    # ------------------------------------------------------------------
-    def _solve_reduced(self, warm_basis: "Basis | None") -> LPSolution:
-        """Warm path of the tableau engine: presolve, then the reduced LP.
-
-        Variables fixed by ``lb == ub`` are eliminated (their
-        contribution folded into the RHS), redundant rows dropped, and
-        the carried basis projected onto the surviving columns before
-        the dense tableau runs.
-        """
-        inst = self.instance
-        lb, ub, b, obj = inst.lb, inst.ub, inst.b_ub, inst.obj
-        n = obj.shape[0]
-
-        fixed = lb == ub
-        fix = np.nonzero(fixed)[0]
-        act = np.nonzero(~fixed)[0]
-        A = self._A
-        if fix.size:
-            b_eff = b - A[:, fix] @ lb[fix]
-        else:
-            b_eff = b.astype(float, copy=True)
-
-        A_act = A[:, act]
-        keep = self._presolve_rows(A_act, b_eff, lb[act], ub[act])
-        keep_rows = np.nonzero(keep)[0]
-        self.stats.vars_eliminated += int(fix.size)
-        self.stats.rows_dropped += int(b.shape[0] - keep_rows.size)
-
-        offset = float(obj[fix] @ lb[fix]) if fix.size else 0.0
-        if act.size == 0:
-            # Everything pinned: row feasibility was already verified.
-            x = lb.astype(float, copy=True)
-            self._basis = None
-            return LPSolution(x=x, value=float(obj @ x), index=inst.index)
-
-        lb_red = lb[act]
-        ub_red = ub[act]
-        finite_mask = np.isfinite(ub_red)
-        ub_vars = act[finite_mask]  # simplex appends ub rows in this order
-        m_struct = int(keep_rows.size)
-        n_red = int(act.size)
-
-        init = None
-        if warm_basis is not None:
-            init = self._map_basis(warm_basis, act, keep_rows, ub_vars)
-        res = simplex_solve(
-            obj[act],
-            A_act[keep_rows],
-            b_eff[keep_rows],
-            (lb_red, ub_red),
-            max_iter=self.max_iter,
-            initial_basis=init,
-        )
-        self.stats.iterations += res.iterations
-        if res.warm_started:
-            self.stats.n_warm += 1
-        else:
-            self.stats.n_cold += 1
-        if res.status == "infeasible":
-            self._basis = None
-            raise InfeasibleError("LP infeasible (presolved simplex)")
-        if res.status == "unbounded":
-            self._basis = None
-            raise UnboundedError("LP unbounded (presolved simplex)")
-        if res.status != "optimal" or res.x is None:
-            return self._fallback_scipy()
-
-        self._basis = self._basis_of(
-            res.basis, act, keep_rows, ub_vars, n_red, m_struct
-        )
-        if self._basis_store is not None and self._basis is not None:
-            self._basis_store.store_basis(inst, self._basis)
-        x = np.empty(n, dtype=float)
-        x[act] = res.x
-        x[fix] = lb[fix]
-        return LPSolution(
-            x=x, value=float(res.value + offset), index=inst.index
-        )
-
-    # ------------------------------------------------------------------
     @staticmethod
-    def _presolve_rows(
-        A_act: np.ndarray,
-        b_eff: np.ndarray,
-        lb_act: np.ndarray,
-        ub_act: np.ndarray,
-    ) -> np.ndarray:
-        """Boolean keep-mask over rows; raises on fixed-value violation.
-
-        Drops rows with no remaining variables and rows whose maximum
-        activity over the current box (``sum_{a>0} a*ub + sum_{a<0}
-        a*lb``) already satisfies the RHS — connection-count rows become
-        such trivially-slack rows as LPRR pins their betas.
-        """
-        nz = A_act != 0.0
-        empty = ~nz.any(axis=1)
-        if np.any(b_eff[empty] < -_ROW_FEAS_TOL):
-            raise InfeasibleError(
-                "fixed variables violate an eliminated constraint row"
-            )
-        pos = np.where(A_act > 0.0, A_act, 0.0)
-        neg = np.where(A_act < 0.0, A_act, 0.0)
-        finite = np.isfinite(ub_act)
-        max_act = pos[:, finite] @ ub_act[finite] + neg @ lb_act
-        open_above = (pos[:, ~finite] > 0.0).any(axis=1)
-        redundant = ~open_above & (max_act <= b_eff + _REDUNDANT_TOL)
-        return ~(redundant | empty)
-
-    @staticmethod
-    def _map_basis(
-        basis: Basis,
-        act: np.ndarray,
-        keep_rows: np.ndarray,
-        ub_vars: np.ndarray,
-    ) -> "np.ndarray | None":
-        """Project a carried basis onto the current reduced program.
-
-        Keys whose variable/row vanished (fixed out, row dropped) are
-        discarded; the basis is topped back up to full rank with unused
-        slack columns. Feasibility of the result is *not* checked here —
-        the simplex validates it and falls back to phase 1 if needed.
-        """
-        n_red = int(act.size)
-        m_red = int(keep_rows.size + ub_vars.size)
-        col_of_var = {int(v): i for i, v in enumerate(act)}
-        slack_of_row = {int(r): n_red + i for i, r in enumerate(keep_rows)}
-        slack_of_ub = {
-            int(v): n_red + keep_rows.size + i for i, v in enumerate(ub_vars)
-        }
-        cols: list[int] = []
-        used: set[int] = set()
-        for kind, ident in basis.keys:
-            if kind == "x":
-                c = col_of_var.get(ident)
-            elif kind == "r":
-                c = slack_of_row.get(ident)
-            else:  # "u"
-                c = slack_of_ub.get(ident)
-            if c is not None and c not in used:
-                used.add(c)
-                cols.append(c)
-        for s in range(m_red):
-            if len(cols) == m_red:
-                break
-            c = n_red + s
-            if c not in used:
-                used.add(c)
-                cols.append(c)
-        if len(cols) != m_red:
-            return None
-        return np.asarray(cols, dtype=int)
-
-    @staticmethod
-    def _basis_arrays_revised(
+    def _basis_arrays(
         basis: Basis, n: int, m: int
     ) -> "tuple[np.ndarray | None, np.ndarray | None]":
-        """Decode a basis token for the full-program revised engine.
+        """Decode a basis token into ``(basis columns, at_upper mask)``.
 
-        The revised path never reduces the program, so the mapping is
-        one-to-one: ``('x', var)`` is column ``var``, ``('r', row)`` is
-        slack column ``n + row``. A token from the tableau engine (with
-        ``('u', ...)`` keys, or a different basis size because of its
-        explicit upper-bound rows) decodes to ``(None, None)`` — one
-        cold start, after which the session carries revised tokens.
+        The program is never reduced, so the mapping is one-to-one:
+        ``('x', var)`` is column ``var``, ``('r', row)`` is slack column
+        ``n + row``. A token of the wrong size or with repeated columns
+        decodes to ``(None, None)`` — one cold start.
         """
-        cols: list[int] = []
-        for kind, ident in basis.keys:
-            if kind == "x":
-                cols.append(int(ident))
-            elif kind == "r":
-                cols.append(n + int(ident))
-            else:  # 'u': tableau-engine ub-row slack, meaningless here
-                return None, None
+        cols = [
+            int(ident) if kind == "x" else n + int(ident)
+            for kind, ident in basis.keys
+        ]
         if len(cols) != m or len(set(cols)) != m:
             return None, None
         basic = set(cols)
@@ -739,43 +408,11 @@ class LPSession:
         return np.asarray(cols, dtype=int), at_upper
 
     @staticmethod
-    def _basis_of_revised(res, n: int) -> Basis:
-        """Translate a revised-engine result into an original-key token."""
+    def _basis_of(res, n: int) -> Basis:
+        """Translate a revised-simplex result into an original-key token."""
         keys = [
             ("x", int(col)) if col < n else ("r", int(col - n))
             for col in res.basis
         ]
         up = [int(j) for j in np.nonzero(res.at_upper[:n])[0]]
         return Basis(keys, up)
-
-    @staticmethod
-    def _basis_of(
-        basis: "np.ndarray | None",
-        act: np.ndarray,
-        keep_rows: np.ndarray,
-        ub_vars: np.ndarray,
-        n_red: int,
-        m_struct: int,
-    ) -> "Basis | None":
-        """Translate a reduced-coordinate basis into original keys."""
-        if basis is None:
-            return None
-        keys = []
-        for i, col in enumerate(basis):
-            col = int(col)
-            if col < n_red:
-                keys.append(("x", int(act[col])))
-            elif col < n_red + m_struct + ub_vars.size:
-                s = col - n_red
-                if s < m_struct:
-                    keys.append(("r", int(keep_rows[s])))
-                else:
-                    keys.append(("u", int(ub_vars[s - m_struct])))
-            else:
-                # A degenerate artificial survived phase 1 in row i;
-                # carry that row's own slack instead.
-                if i < m_struct:
-                    keys.append(("r", int(keep_rows[i])))
-                else:
-                    keys.append(("u", int(ub_vars[i - m_struct])))
-        return Basis(keys)

@@ -11,7 +11,7 @@
 * :mod:`repro.obs.logging` — namespaced library loggers under one
   ``NullHandler``-guarded ``repro`` root;
 * :mod:`repro.obs.timing` — the package's single monotonic timing
-  utility (``repro.util.timing`` is a shim);
+  utility (:mod:`repro.util` re-exports ``Timer`` and ``timed``);
 * :mod:`repro.obs.options` — :class:`TelemetryOptions`, the
   ``SolverConfig(telemetry=...)`` knob record.
 

@@ -3,8 +3,7 @@
 Everything here is ``time.perf_counter``-based: these values measure
 elapsed durations only and must never leak into result state dicts or
 seeds (see the determinism-invisibility contract in
-``docs/architecture.md``).  ``repro.util.timing`` re-exports these names
-as a legacy shim.
+``docs/architecture.md``).
 """
 
 from __future__ import annotations

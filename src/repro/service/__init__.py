@@ -13,10 +13,9 @@ task-index order, i.e. exactly the serial ``jobs=1`` reference fold.
 
 Zero dependencies beyond the library itself: :func:`create_app` builds
 a plain ASGI 3.0 app (host it under uvicorn, hypercorn, or the bundled
-stdlib bridge via ``python -m repro.experiments serve``);
-:func:`create_fastapi_app` is the
-optional FastAPI shell for deployments that want to mount it alongside
-existing routers.
+stdlib bridge via ``python -m repro.experiments serve``). A FastAPI
+deployment mounts it alongside its own routers:
+``FastAPI().mount("", create_app())`` is the whole recipe.
 
 >>> from repro.service import SolverService, create_app
 >>> from repro.service.testing import AsgiTestClient
@@ -28,7 +27,7 @@ existing routers.
 'greedy'
 """
 
-from repro.service.app import SolverService, create_app, create_fastapi_app
+from repro.service.app import SolverService, create_app
 from repro.service.coalescer import RequestCoalescer
 from repro.service.errors import JobNotFound, ServiceError
 from repro.service.jobstore import (
@@ -53,7 +52,6 @@ __all__ = [
     # application
     "SolverService",
     "create_app",
-    "create_fastapi_app",
     "run_server",
     "AsgiHTTPServer",
     # building blocks

@@ -71,21 +71,29 @@ from repro.service.errors import ServiceError
 from repro.service.jobstore import JobRecord, JobStore, open_job_store
 from repro.service.pool import SolverPool
 from repro.service.sse import TERMINAL_EVENTS, JobEventBroker
+from repro.util.errors import SolverError
 
 
 def _config_from(payload: dict, force_stream: bool = False) -> SolverConfig:
-    """Build the request's :class:`SolverConfig` (partial dicts fine)."""
+    """Build the request's :class:`SolverConfig` (partial dicts fine).
+
+    A config the facade rejects is the client's error: HTTP 400 with
+    the facade's message, never a 500.
+    """
     data = dict(payload.get("config") or {})
     if "method" not in data and payload.get("method") is not None:
         data["method"] = payload["method"]
     if force_stream:
         data["stream"] = True
-    if int(data.get("shards", 1)) > 1:
-        raise ServiceError(
-            "shards > 1 is not available through the service: sharded "
-            "rows fold inside the shard executors and cannot stream"
-        )
-    return SolverConfig.from_dict(data)
+    try:
+        if int(data.get("shards", 1)) > 1:
+            raise ServiceError(
+                "shards > 1 is not available through the service: sharded "
+                "rows fold inside the shard executors and cannot stream"
+            )
+        return SolverConfig.from_dict(data)
+    except (SolverError, ValueError, TypeError) as exc:
+        raise ServiceError(f"invalid config: {exc}") from None
 
 
 def _setting_from_dict(data: dict):
@@ -603,28 +611,3 @@ def create_app(
     app.on_shutdown.append(service.close)
     return app
 
-
-def create_fastapi_app(
-    service: "SolverService | None" = None, **service_kwargs
-):
-    """Optional FastAPI wrapper (the ``fastapi`` extra).
-
-    Mounts the canonical ASGI app inside a FastAPI shell so deployments
-    already composed of FastAPI routers can graft the solver service
-    in. Raises :class:`ServiceError` with an actionable message when
-    FastAPI is not installed — the plain :func:`create_app` result runs
-    under uvicorn/hypercorn just the same.
-    """
-    try:
-        from fastapi import FastAPI
-    except ImportError:
-        raise ServiceError(
-            "the 'fastapi' extra is not installed; use create_app() — the "
-            "plain ASGI app runs under any ASGI server without it",
-            status=500,
-        ) from None
-    asgi = create_app(service, **service_kwargs)
-    shell = FastAPI(title="repro solver service")
-    shell.mount("", asgi)
-    shell.state.repro_service = asgi.service
-    return shell

@@ -22,7 +22,7 @@ from repro.util.rational import (
     common_period,
     fractionize,
 )
-from repro.util.timing import Timer, timed
+from repro.obs.timing import Timer, timed
 from repro.util.tables import TextTable
 from repro.util.ascii_plot import ascii_series_plot
 

@@ -32,7 +32,7 @@ from repro.api.config import (
     options_class_for,
 )
 from repro.core.solve import available_methods
-from repro.heuristics.base import get_heuristic
+from repro.heuristics.base import REMOVED_OPTIONS, get_heuristic
 
 
 def assert_same_result(a, b):
@@ -190,6 +190,46 @@ class TestOptionRejection:
         assert report.allocation is not None
         assert report.meta["lp_backend"] == "session"
 
+    @pytest.mark.parametrize("method", sorted(available_methods()))
+    def test_run_rejects_misspelled_and_removed_options(
+        self, problem_factory, method
+    ):
+        """``Heuristic.run`` is as strict as the facade: a typo or a
+        removed option raises instead of being silently ignored."""
+        heuristic = get_heuristic(method)
+        problem = problem_factory(seed=0, n_clusters=3)
+        with pytest.raises(SolverError, match="unknown option"):
+            heuristic.run(problem, rng=0, eager_integer_fixng=True)
+        with pytest.raises(SolverError, match="'lp_engine' was removed"):
+            heuristic.run(problem, rng=0, lp_engine="revised")
+
+    def test_run_rejects_bad_lp_backend_and_lprg_it_warm_start(
+        self, problem_factory
+    ):
+        problem = problem_factory(seed=0, n_clusters=3)
+        with pytest.raises(SolverError, match="lp_backend"):
+            get_heuristic("lprr").run(problem, rng=0, lp_backend="auto")
+        with pytest.raises(SolverError, match="unknown option 'warm_start'"):
+            get_heuristic("lprg-it").run(problem, warm_start=False)
+
+    def test_removed_config_fields_named_at_every_entry_point(
+        self, problem_factory
+    ):
+        """``lp_engine``/``share_bases`` are reported as removed — not
+        answered with a did-you-mean for a surviving field."""
+        problem = problem_factory(seed=0, n_clusters=3)
+        for name in sorted(REMOVED_OPTIONS):
+            for build in (
+                lambda: SolverConfig.from_dict({"method": "lprr", name: True}),
+                lambda: SolverConfig.from_dict(
+                    {"method": "lprr", "options": {name: True}}
+                ),
+                lambda: SolverConfig.for_method("lprr", **{name: True}),
+                lambda: solve(problem, "lprr", **{name: True}),
+            ):
+                with pytest.raises(SolverError, match=f"'{name}' was removed"):
+                    build()
+
 
 class TestSolverConfig:
     def test_alias_canonicalised(self):
@@ -207,6 +247,8 @@ class TestSolverConfig:
     def test_bad_lp_backend(self):
         with pytest.raises(SolverError, match="lp_backend"):
             SolverConfig(lp_backend="cplex")
+        with pytest.raises(SolverError, match="lp_backend"):
+            SolverConfig(lp_backend="auto")  # the removed size policy
 
     def test_bad_jobs_and_chunk(self):
         with pytest.raises(SolverError):
@@ -263,13 +305,16 @@ class TestSolverConfig:
         assert lprr.method_kwargs() == {
             "eager_integer_fixing": False,
             "warm_start": False,
-            "lp_backend": "auto",
-            "lp_engine": "revised",
-            "share_bases": False,
+            "lp_backend": "session",
         }
-        bnb = SolverConfig(method="bnb").method_kwargs()
-        assert "lp_backend" not in bnb and bnb["warm_start"] is True
-        assert bnb["lp_engine"] == "revised" and "share_bases" not in bnb
+        assert SolverConfig(method="lprg-it").method_kwargs() == {
+            "max_iters": 4,
+            "lp_backend": "session",
+        }
+        assert SolverConfig(method="bnb").method_kwargs() == {
+            "max_nodes": 10_000,
+            "warm_start": True,
+        }
 
 
 class TestMethodInfo:
@@ -293,9 +338,7 @@ class TestMethodInfo:
         either a typed sub-config field or a config-level LP knob."""
         heuristic = get_heuristic(method)
         opt_fields = {f.name for f in fields(options_class_for(method))}
-        config_level = {"warm_start", "lp_backend", "lp_engine", "share_bases"} & set(
-            heuristic.option_names
-        )
+        config_level = {"warm_start", "lp_backend"} & set(heuristic.option_names)
         assert opt_fields | config_level == set(heuristic.option_names)
 
     def test_cli_list_methods(self, capsys):

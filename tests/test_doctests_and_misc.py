@@ -23,10 +23,11 @@ class TestDoctests:
         assert failures == 0
 
     def test_timer_doctest(self):
-        import repro.util.timing
+        import repro.obs.timing
 
-        result = doctest.testmod(repro.util.timing, verbose=False)
+        result = doctest.testmod(repro.obs.timing, verbose=False)
         assert result.failed == 0
+        assert result.attempted > 0
 
 
 class TestBaseThroughputOffsets:

@@ -187,8 +187,6 @@ class TestEventValidation:
             sched.step(_ev("app-depart", 0))
 
     def test_engine_and_options_validation(self, problem):
-        with pytest.raises(SolverError, match="revised"):
-            OnlineScheduler(problem, engine="tableau")
         with pytest.raises(SolverError, match="DynamicOptions"):
             OnlineScheduler(problem, options={"replay": False})
 

@@ -1,7 +1,7 @@
 """Tests for the warm-started LP re-solve subsystem (repro.lp.session).
 
 The contract under test: an :class:`LPSession` — in-place mutation,
-fixed-variable presolve, basis carry — must agree with a *fresh*
+fixed-variable pinning, basis carry — must agree with a *fresh*
 ``build_lp`` + cold HiGHS solve at every step of a re-solve sequence,
 for both objectives, and the heuristics riding on it must keep their
 published invariants (validity, LP-bound domination, and for LPRR
@@ -15,21 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro import SteadyStateProblem, solve
 from repro.heuristics.base import registry
-from repro.lp.builder import (
-    _COOBuilder,
-    LPBuildCache,
-    LPInstance,
-    build_lp,
-    use_build_cache,
-)
+from repro.lp.builder import _COOBuilder, LPInstance, build_lp
+from repro.lp.revised import revised_solve
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.session import (
-    AUTO_SIZE_LIMIT,
-    LPSession,
-    prefer_session,
-    resolve_lp_backend,
-)
-from repro.lp.simplex import simplex_solve
+from repro.lp.session import LPSession
 from repro.util.errors import InfeasibleError
 
 from tests.strategies import problems
@@ -45,9 +34,10 @@ class TestSimplexWarmStart:
         c = [3, 5]
         A = [[1, 0], [0, 2], [3, 2]]
         b = [4, 12, 18]
-        cold = simplex_solve(c, A, b)
+        cold = revised_solve(c, A, b)
         assert cold.ok and cold.basis is not None
-        warm = simplex_solve(c, A, b, initial_basis=cold.basis)
+        warm = revised_solve(c, A, b, initial_basis=cold.basis,
+                             initial_at_upper=cold.at_upper)
         assert warm.ok and warm.warm_started
         assert warm.iterations == 0  # already optimal
         assert warm.value == pytest.approx(cold.value)
@@ -56,9 +46,10 @@ class TestSimplexWarmStart:
     def test_warm_start_after_rhs_change(self):
         c = [3, 5]
         A = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]])
-        cold = simplex_solve(c, A, [4, 12, 18])
-        warm = simplex_solve(c, A, [4, 12, 17], initial_basis=cold.basis)
-        ref = simplex_solve(c, A, [4, 12, 17])
+        cold = revised_solve(c, A, [4, 12, 18])
+        warm = revised_solve(c, A, [4, 12, 17], initial_basis=cold.basis,
+                             initial_at_upper=cold.at_upper)
+        ref = revised_solve(c, A, [4, 12, 17])
         assert warm.ok
         assert warm.value == pytest.approx(ref.value)
         assert warm.iterations <= ref.iterations
@@ -67,20 +58,20 @@ class TestSimplexWarmStart:
         c = [3, 5]
         A = [[1, 0], [0, 2], [3, 2]]
         b = [4, 12, 18]
-        ref = simplex_solve(c, A, b)
+        ref = revised_solve(c, A, b)
         for bogus in ([0, 1], [0, 0, 1], [0, 1, 99]):
-            res = simplex_solve(c, A, b, initial_basis=np.array(bogus))
+            res = revised_solve(c, A, b, initial_basis=np.array(bogus))
             assert res.ok and not res.warm_started
             assert res.value == pytest.approx(ref.value)
 
     def test_infeasible_carried_basis_falls_back(self):
-        c = [1.0]
-        A = np.array([[1.0]])
-        cold = simplex_solve(c, A, [5.0])  # x = 5, x basic
-        # Tighten the row so the carried basis (x basic at 2) stays
-        # feasible, then flip the row sign so it cannot be.
-        warm = simplex_solve(c, np.array([[-1.0]]), [-2.0], bounds=[(0, 4)],
-                             initial_basis=cold.basis)
+        # x basic at 5; the new row -x <= -2 with x <= 4 leaves that
+        # basis primal-infeasible, and the re-solve must still land on
+        # the optimum x = 4.
+        cold = revised_solve([1.0], [[1.0]], [5.0])
+        warm = revised_solve([1.0], [[-1.0]], [-2.0], bounds=[(0, 4)],
+                             initial_basis=cold.basis,
+                             initial_at_upper=cold.at_upper)
         assert warm.ok
         assert warm.x[0] == pytest.approx(4.0)
 
@@ -88,8 +79,8 @@ class TestSimplexWarmStart:
         c = [1, 1]
         A = [[1, 1]]
         b = [100]
-        lst = simplex_solve(c, A, b, bounds=[(0, 3), (0, 4)])
-        arr = simplex_solve(
+        lst = revised_solve(c, A, b, bounds=[(0, 3), (0, 4)])
+        arr = revised_solve(
             c, A, b, bounds=(np.zeros(2), np.array([3.0, 4.0]))
         )
         assert lst.ok and arr.ok
@@ -169,16 +160,13 @@ class TestSessionMatchesColdHiGHS:
 
 class TestPresolve:
     def test_fixed_vars_eliminated_and_restored(self, problem_factory):
-        """Round-trip: fixing every beta must shrink the solved program
-        but return a full-length x with the pinned values bit-exact.
-
-        Presolve elimination is a tableau-engine feature (the revised
-        engine freezes fixed variables instead of eliminating them), so
-        this pins ``engine="tableau"``.
-        """
+        """Round-trip: fixing every beta must return a full-length x with
+        the pinned values bit-exact and HiGHS's optimal value (the
+        session freezes fixed variables out of pricing rather than
+        eliminating them, so nothing is restored by copying)."""
         problem = problem_factory(seed=0, n_clusters=5)
         instance = build_lp(problem)
-        session = LPSession(build_lp(problem), engine="tableau")
+        session = LPSession(build_lp(problem))
         solution = session.solve()
         n_alpha, n_beta = instance.index.n_alpha, instance.index.n_beta
         fixed_values = {}
@@ -189,11 +177,8 @@ class TestPresolve:
             fixed_values[var] = value
         got = session.solve()
         assert got.x.shape == (instance.n_vars,)
-        assert session.stats.vars_eliminated >= n_beta
         for var, value in fixed_values.items():
             assert got.x[var] == value  # exact, not approximate
-        # Connection-count rows lose all their variables -> dropped.
-        assert session.stats.rows_dropped > 0
         ref_inst = build_lp(problem)
         np.copyto(ref_inst.lb, session.instance.lb)
         np.copyto(ref_inst.ub, session.instance.ub)
@@ -327,32 +312,21 @@ class TestHeuristicWarmColdEquivalence:
 
 
 class TestAutoBackendPolicy:
+    """The default LP backend is the warm session at every size."""
+
     def test_small_instances_prefer_session(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=4)
-        instance = build_lp(problem)
-        assert prefer_session(instance)
         result = solve(problem, "lprr", rng=0)
         assert result.meta["lp_backend"] == "session"
+        assert result.meta["lp_stats"]["n_warm"] > 0
 
     def test_large_instances_stay_on_session(self, problem_factory):
-        """The revised engine retired the dense-tableau size cliff:
-        auto keeps the session path even past the old limit."""
+        """K=12 is past the size where a dense engine would lose to a
+        cold HiGHS call; the revised engine keeps the session path."""
         problem = problem_factory(seed=0, n_clusters=12)
-        instance = build_lp(problem)
-        assert instance.n_vars + instance.n_rows > AUTO_SIZE_LIMIT
-        assert prefer_session(instance)
         result = solve(problem, "lprr", rng=0)
         assert result.meta["lp_backend"] == "session"
-
-    def test_tableau_engine_keeps_size_cliff(self, problem_factory):
-        """``engine="tableau"`` still honours AUTO_SIZE_LIMIT — O(m*n)
-        tableau rewrites lose to a cold HiGHS call past it."""
-        small = build_lp(problem_factory(seed=0, n_clusters=4))
-        large = build_lp(problem_factory(seed=0, n_clusters=12))
-        assert prefer_session(small, engine="tableau")
-        assert not prefer_session(large, engine="tableau")
-        assert resolve_lp_backend(large, "auto", engine="tableau") == "scipy"
-        assert resolve_lp_backend(large, "auto", engine="revised") == "session"
+        assert result.meta["lp_stats"]["n_warm"] > 0
 
 
 class TestBoundsListCache:
@@ -437,8 +411,8 @@ class TestDegenerateAndRedundantLPs:
     """Session solves of degenerate programs must agree with cold HiGHS.
 
     Redundant rows make every basis that touches them singular-adjacent
-    and every vertex degenerate — exactly the regime where the old
-    tableau tolerances and a naive basis carry used to bite.
+    and every vertex degenerate — exactly the regime where absolute
+    tolerances and a naive basis carry bite.
     """
 
     def test_redundant_rows_match_cold_highs(self, problem_factory):
@@ -571,94 +545,6 @@ class TestDualResolveEquivalence:
         np.copyto(ref_inst.b_ub, instance.b_ub * 0.8)
         ref = solve_lp_scipy(ref_inst)
         assert got.value == pytest.approx(ref.value, rel=1e-6, abs=1e-6)
-
-
-class TestEngineKnob:
-    def test_lprr_engine_recorded_and_valid(self, problem_factory):
-        problem = problem_factory(seed=0, n_clusters=4)
-        revised = solve(problem, "lprr", rng=0)
-        tableau = solve(
-            problem, "lprr", rng=0, lp_engine="tableau", lp_backend="session"
-        )
-        assert revised.meta["lp_engine"] == "revised"
-        assert tableau.meta["lp_engine"] == "tableau"
-        assert problem.check(revised.allocation).ok
-        assert problem.check(tableau.allocation).ok
-
-    def test_bnb_engine_knob(self, problem_factory):
-        problem = problem_factory(seed=0, n_clusters=4)
-        revised = solve(problem, "bnb", lp_engine="revised")
-        tableau = solve(problem, "bnb", lp_engine="tableau")
-        assert revised.value == pytest.approx(tableau.value, rel=1e-6, abs=1e-6)
-
-    def test_config_validates_engine_and_sharing(self):
-        from repro.api import SolverConfig
-        from repro.util.errors import SolverError
-
-        assert SolverConfig(method="lprr").lp_engine == "revised"
-        with pytest.raises(SolverError, match="lp_engine"):
-            SolverConfig(method="lprr", lp_engine="bogus")
-        with pytest.raises(SolverError, match="share_bases"):
-            SolverConfig(method="lprr", share_bases=True, jobs=2)
-        cfg = SolverConfig.for_method("lprr", lp_engine="tableau", share_bases=True)
-        assert cfg.to_dict()["lp_engine"] == "tableau"
-        assert SolverConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_session_rejects_unknown_engine(self, problem_factory):
-        instance = build_lp(problem_factory(seed=0, n_clusters=4))
-        with pytest.raises(ValueError):
-            LPSession(instance, engine="bogus")
-
-
-class TestShareBases:
-    def test_seeds_across_sessions_same_template(self, problem_factory):
-        """Two sharing sessions on the same template: the second's first
-        solve warm-starts from the first's published basis and lands on
-        the identical canonical vertex."""
-        problem = problem_factory(seed=6, n_clusters=5)
-        cache = LPBuildCache()
-        with use_build_cache(cache):
-            s1 = LPSession(build_lp(problem), share_bases=True)
-            a = s1.solve()
-            s2 = LPSession(build_lp(problem), share_bases=True)
-            b = s2.solve()
-        assert cache.basis_stores >= 1
-        assert cache.basis_hits >= 1
-        assert s2.stats.n_warm == 1  # seeded, not cold
-        assert np.array_equal(a.x, b.x)
-        assert a.value == b.value
-
-    def test_off_by_default_and_outside_cache(self, problem_factory):
-        problem = problem_factory(seed=6, n_clusters=5)
-        cache = LPBuildCache()
-        with use_build_cache(cache):
-            s = LPSession(build_lp(problem))  # share_bases omitted
-            s.solve()
-        assert cache.basis_stores == 0
-        # Sharing without an active cache is a silent no-op.
-        lone = LPSession(build_lp(problem), share_bases=True)
-        lone.solve()
-        assert lone.stats.n_warm == 0
-
-    def test_solver_share_bases_end_to_end(self, problem_factory):
-        """Through the facade: a sharing Solver publishes bases to its
-        SolverState cache across calls and keeps allocations identical
-        to the non-sharing default (canonical vertices make the seeded
-        path arrive at the same answers)."""
-        from repro.api import Solver, SolverConfig
-
-        problem = problem_factory(seed=7, n_clusters=5)
-        sharing = Solver(SolverConfig.for_method("lprr", share_bases=True))
-        plain = Solver(SolverConfig.for_method("lprr"))
-        r1 = sharing.solve(problem, rng=0)
-        r2 = sharing.solve(problem, rng=0)
-        r_plain = plain.solve(problem, rng=0)
-        assert sharing.state.lp_cache.stats()["basis_stores"] > 0
-        assert sharing.state.lp_cache.stats()["basis_hits"] > 0
-        assert plain.state.lp_cache.stats()["basis_stores"] == 0
-        assert np.array_equal(r1.allocation.beta, r_plain.allocation.beta)
-        assert np.array_equal(r1.allocation.beta, r2.allocation.beta)
-        assert r1.value == r2.value == r_plain.value
 
 
 class TestMutationApi:

@@ -70,14 +70,6 @@ class TestLoggingHygiene:
 
 
 class TestTimingShim:
-    def test_util_timing_reexports_obs_timing(self):
-        from repro.obs import timing as obs_timing
-        from repro.util import timing as util_timing
-
-        assert util_timing.Timer is obs_timing.Timer
-        assert util_timing.timed is obs_timing.timed
-        assert util_timing.__all__ == ["Timer", "timed"]
-
     def test_timer_accumulates_laps(self):
         timer = Timer()
         with timer.measure():

@@ -305,6 +305,25 @@ def test_sweep_validation_errors(client):
     assert bad_setting.status == 400
 
 
+@pytest.mark.parametrize("route", ["/solve", "/sweep"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"method": "bogus"}, "unknown method"),
+        ({"jobs": 0}, "jobs must be >= 1"),
+        ({"jobs": "two"}, "invalid config"),
+        ({"lp_backend": "x"}, "lp_backend must be one of"),
+        ({"job": 2}, "did you mean 'jobs'"),
+        ({"lp_engine": "revised"}, "'lp_engine' was removed"),
+    ],
+)
+def test_invalid_config_is_a_client_error(client, route, config, message):
+    body = SWEEP_BODY if route == "/sweep" else {"scenario": "das2"}
+    response = client.post(route, {**body, "config": config})
+    assert response.status == 400
+    assert message in response.json()["error"]
+
+
 def test_start_rejects_non_held_jobs(client):
     job = client.post("/sweep", SWEEP_BODY).json()["job"]
     _drain_stream(client, job["job_id"])

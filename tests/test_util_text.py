@@ -6,7 +6,7 @@ import pytest
 
 from repro.util.ascii_plot import ascii_series_plot
 from repro.util.tables import TextTable
-from repro.util.timing import Timer, timed
+from repro.obs import Timer, timed
 
 
 class TestTextTable:
