@@ -34,31 +34,32 @@ in one of three LP-mutation classes, in increasing order of cost:
 **The oracle-equivalence guarantee.** Both the incremental session and
 a from-scratch oracle session are attached to the *same* mutated
 :class:`~repro.lp.builder.LPInstance`; after every event the oracle
-solves it cold (``solve(warm_basis=None)``). Two mechanisms then make
-warm == cold *bitwise*, not merely value-equal. First, full-column
-vertex canonicalization (``LPSession(canon="all")``) weights every
-structural column in the secondary objective, so a degenerate optimal
-face — e.g. a failed node leaving surplus capacity free elsewhere —
-still canonicalizes to a unique vertex (the default ``"betas"`` mode
-leaves infinite-ub alpha directions unpinned). Second, the same vertex
-can still be represented by *different bases*, whose ``B^{-1}b``
-extractions differ at roundoff; a **support crossover**
-(:meth:`OnlineScheduler._support_token`) re-derives one deterministic
-basis from the reported point alone — strictly-between columns plus
-positive slacks, rank-completed over tight-row slacks in index order —
-and both sessions re-solve from that token, so the reported floats
-depend only on (instance data, token): identical on both sides exactly
-when both paths found the same vertex. One residual mode remains: two
-optimal vertices whose primary *and* secondary objectives tie at
-roundoff, which no objective-based canonicalization can separate. When
-the own-token extractions disagree but the values agree to ``1e-9``
-relative, both sessions re-extract through the *oracle's* support
-token — the cold path is a pure function of the instance, so the
-tie-break is deterministic across runs and modes; a warm path stuck at
-a genuinely sub-optimal vertex fails the value check and records a
-mismatch. ``record.oracle_match`` is then an exact ``==`` on solution
-vectors — gated across every registered trace family by
-``benchmarks/bench_online.py`` — and the oracle's pivot count is the
+solves it cold (``solve(warm_basis=None)``). Each side runs one solve,
+with its one optimal-face search, and one token read, and two
+mechanisms make warm == cold *bitwise*, not merely value-equal. First,
+full-column vertex canonicalization (``LPSession(canon="all")``)
+maximises a generic secondary objective over the optimal face, so a
+degenerate face — e.g. a failed node leaving surplus capacity free
+elsewhere — still resolves to one vertex whatever basis the solve
+started from. Second, one vertex can be represented by *different
+bases*, whose ``B^{-1}b`` extractions differ at roundoff; the **support
+token** (:meth:`OnlineScheduler._support_token`) derives one basis from
+the reported point alone — strictly-between columns plus the slacks of
+non-tight rows, completed by the slacks of the rows an LU factorization
+of those columns leaves unpivoted — and :meth:`LPSession.read` reads
+the point back from it with one factorization and one FTRAN. The
+reported floats then depend only on (instance data, token): identical
+on both sides exactly when both solves found the same vertex. A read
+that is infeasible, or whose value strays from the solve's by more than
+``1e-9`` relative, falls back to a re-solve from the token, and the
+scheduler counts it. The oracle only observes: nothing it computes flows
+back into the incremental session, so per-event solutions and state
+dicts are the same with ``check_oracle`` on or off, and there is no
+residual tie mode. ``record.oracle_match`` is an exact ``==`` on
+solution vectors — gated across every registered trace family by
+``benchmarks/bench_online.py``; a *near-tie* (values agree to ``1e-9``
+relative, points differ) is a mismatch, counted in the metrics and in
+:meth:`DisruptionReport.summary`. The oracle's pivot count is the
 from-scratch baseline that prices the warm path's savings.
 
 After each re-solve the new LP point is rounded down to a valid
@@ -76,6 +77,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from repro.core.allocation import Allocation
 from repro.core.problem import SteadyStateProblem
@@ -101,14 +103,19 @@ CLASSIFICATIONS = ("rhs", "bounds", "structural")
 #: churn denominators below this treat the allocation as empty
 _CHURN_EPS = 1e-12
 
-#: support classification tolerance for the crossover extraction —
+#: support classification tolerance for the token extraction —
 #: coarse enough that the warm and oracle points (same vertex, roundoff
 #: apart) always classify identically, fine enough to separate genuine
 #: basic values from bound-resting ones on program-(7) scales
 _SUPPORT_TOL = 1e-7
 
-#: relative residual below which a candidate column is rank-redundant
+#: LU pivot, relative to its column's scale, below which a forced
+#: column is rank-redundant
 _RANK_TOL = 1e-8
+
+#: relative value agreement of a token read with its solve, and of a
+#: near-tie between the warm and oracle points
+_VALUE_TOL = 1e-9
 
 
 def _sha(*arrays: np.ndarray) -> str:
@@ -127,12 +134,17 @@ class DisruptionRecord:
     reports are comparable without carrying the vectors;
     ``throughput_deficit`` is the relative gap between the rounded
     allocation's objective and the (relaxed) LP bound after the event.
+    ``warm_solves`` counts the incremental session's solves (1, or 2
+    when its token read fell back to a re-solve); ``read_fallbacks``
+    counts the token reads, warm and oracle, that fell back.
     """
 
     event: PlatformEvent
     classification: str
     warm_iterations: int
     oracle_iterations: "int | None"
+    warm_solves: int
+    read_fallbacks: int
     reoptimize_seconds: float
     value: float
     oracle_value: "float | None"
@@ -151,6 +163,8 @@ class DisruptionRecord:
             "classification": self.classification,
             "warm_iterations": self.warm_iterations,
             "oracle_iterations": self.oracle_iterations,
+            "warm_solves": self.warm_solves,
+            "read_fallbacks": self.read_fallbacks,
             "reoptimize_seconds": self.reoptimize_seconds,
             "value": self.value,
             "oracle_value": self.oracle_value,
@@ -164,9 +178,17 @@ class DisruptionRecord:
             "simulated_value": self.simulated_value,
         }
 
+    @property
+    def near_tie(self) -> bool:
+        """Warm and oracle values agree to ``1e-9`` relative, but the
+        points differ (always False without the oracle)."""
+        return self.oracle_match is False and abs(
+            self.value - self.oracle_value
+        ) <= _VALUE_TOL * max(1.0, abs(self.oracle_value))
+
     def state_entry(self) -> dict:
         """The deterministic slice of :meth:`to_dict`: no wall-clock
-        timing and no pivot counts (warm and cold runs must produce
+        timing and no work counts (warm and cold runs must produce
         identical state dicts — that is the replay invariant)."""
         return {
             "event": self.event.to_dict(),
@@ -219,7 +241,12 @@ class DisruptionReport:
             "iteration_reduction": (
                 1.0 - warm / oracle if oracle else None
             ),
+            "warm_solves": sum(r.warm_solves for r in self.records),
+            "read_fallbacks": sum(r.read_fallbacks for r in self.records),
             "all_oracle_match": all(matches) if matches else None,
+            "near_ties": (
+                sum(r.near_tie for r in self.records) if matches else None
+            ),
             "mean_reoptimize_seconds": (
                 sum(r.reoptimize_seconds for r in self.records) / n if n else 0.0
             ),
@@ -310,7 +337,10 @@ class OnlineScheduler:
         # determinism-invisibility contract in docs/architecture.md).
         self.metrics = MetricsRegistry()
         self._build_sessions()
-        solution = self._extract(self._session, self._solve_incremental())
+        solution, fell_back = self._extract(
+            self._session, self._solve_incremental()
+        )
+        self._count_fallbacks(int(fell_back))
         self._solution = solution
         self._prev_alloc = round_down(self._current_problem(), solution)
         self.initial_value = float(solution.value)
@@ -418,8 +448,8 @@ class OnlineScheduler:
             # instance. The oracle is made cold per call
             # (solve(warm_basis=None)) rather than per session
             # (warm_start=False) because a cold session ignores every
-            # basis token — and the support crossover needs warm
-            # re-solves from an explicit token on both sides.
+            # basis token — and a read fallback re-solves from an
+            # explicit token on either side.
             self._session = LPSession(
                 instance,
                 warm_start=True,
@@ -578,7 +608,7 @@ class OnlineScheduler:
         raise EventTraceError(f"unknown event kind {kind!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # canonical extraction (support crossover)
+    # canonical extraction (support token)
     # ------------------------------------------------------------------
     def _solve_incremental(self):
         """One re-solve of the incremental session: carried-basis warm
@@ -592,82 +622,69 @@ class OnlineScheduler:
         """Derive a deterministic basis token from a reported LP point.
 
         Forced-basic columns are the structural variables strictly
-        between their bounds and the slacks of non-tight rows; the
-        remaining slots are filled by greedy rank completion over
-        tight-row slacks in row order (Gram-Schmidt residual test —
-        slack columns span everything, so completion always reaches
-        ``m`` at a vertex). The token is a function of (A, bounds,
-        support classification) only, and the classification tolerance
-        is orders of magnitude above the roundoff separating the warm
-        and oracle reports of one vertex — so both sides derive the
-        *same* token, and re-solving from it reproduces bit-identical
-        floats. Returns ``None`` when the point is not a vertex (a
-        HiGHS-fallback interior report): the caller then keeps the raw
-        solution.
+        between their bounds and the slacks of non-tight rows. An LU
+        factorization with partial pivoting of the forced structurals'
+        tight-row block picks the rows they cover; the slacks of the
+        tight rows left over complete the basis (a forced slack covers
+        its own row, so this is the factorization of the whole forced
+        block with the slacks taken first). The token is a function of
+        (A, bounds, support classification) only, and the classification
+        tolerance is orders of magnitude above the roundoff separating
+        the warm and oracle reports of one vertex — so both sides derive
+        the *same* token. Returns ``None`` when the forced columns are
+        dependent, so the point is not a vertex (a HiGHS-fallback
+        interior report): the caller then keeps the raw solution.
         """
         inst = self._instance
         A = self._A
         m, n = A.shape
-        slack = inst.b_ub - A @ x
-        forced = [
-            ("x", j)
-            for j in range(n)
-            if inst.lb[j] + _SUPPORT_TOL < x[j] < inst.ub[j] - _SUPPORT_TOL
-        ]
-        forced += [("r", i) for i in range(m) if slack[i] > _SUPPORT_TOL]
-        if len(forced) > m:
+        between = np.nonzero(
+            (inst.lb + _SUPPORT_TOL < x) & (x < inst.ub - _SUPPORT_TOL)
+        )[0]
+        tight = np.nonzero(inst.b_ub - A @ x <= _SUPPORT_TOL)[0]
+        if between.size > tight.size:
             return None
-        basis_q = np.zeros((m, m))
-        rank = 0
-
-        def absorb(col: np.ndarray) -> bool:
-            nonlocal rank
-            resid = col - basis_q[:, :rank] @ (basis_q[:, :rank].T @ col)
-            norm = float(np.linalg.norm(resid))
-            if norm > _RANK_TOL * max(1.0, float(np.linalg.norm(col))):
-                basis_q[:, rank] = resid / norm
-                rank += 1
-                return True
-            return False
-
-        def unit(i: int) -> np.ndarray:
-            e = np.zeros(m)
-            e[i] = 1.0
-            return e
-
-        keys: list[tuple] = []
-        for kind, ident in forced:
-            col = A[:, ident].astype(float) if kind == "x" else unit(ident)
-            if not absorb(col):
+        pivoted = np.zeros(m, dtype=bool)
+        if between.size:
+            perm, _, U = scipy.linalg.lu(
+                A[np.ix_(tight, between)], p_indices=True
+            )
+            scale = np.maximum(1.0, np.abs(A[:, between]).max(axis=0))
+            if np.any(np.abs(np.diag(U)) <= _RANK_TOL * scale):
                 return None  # dependent forced columns: not a vertex
-            keys.append((kind, ident))
-        have = set(keys)
-        for i in range(m):
-            if rank == m:
-                break
-            if ("r", i) not in have and absorb(unit(i)):
-                keys.append(("r", i))
-                have.add(("r", i))
-        if rank < m:  # pragma: no cover - slacks always complete
-            return None
-        at_upper = [
-            j
-            for j in range(n)
-            if ("x", j) not in have
-            and np.isfinite(inst.ub[j])
-            and inst.ub[j] - inst.lb[j] > _SUPPORT_TOL
-            and abs(x[j] - inst.ub[j]) <= _SUPPORT_TOL
-        ]
-        return Basis(keys, at_upper)
+            pivoted[tight[perm < between.size]] = True
+        at_upper = np.zeros(n + m, dtype=bool)
+        at_upper[:n] = (
+            np.isfinite(inst.ub)
+            & (inst.ub - inst.lb > _SUPPORT_TOL)
+            & (np.abs(x - inst.ub) <= _SUPPORT_TOL)
+        )
+        return Basis(
+            np.concatenate([between, n + np.nonzero(~pivoted)[0]]), at_upper
+        )
 
     def _extract(self, session: LPSession, solution):
-        """Re-solve from the point's own support token (see module
-        docstring, "support crossover"). Zero to a few degenerate
-        pivots; the resulting floats are trajectory-independent."""
+        """Read the solve's point back from its own support token (see
+        module docstring, "support token"): one factorization, one
+        FTRAN, floats independent of the solve's trajectory. Returns
+        ``(solution, fell_back)``; a read that is infeasible or strays
+        from the solve's value falls back to a re-solve from the token.
+        """
         token = self._support_token(solution.x)
         if token is None:
-            return solution
-        return session.solve(warm_basis=token)
+            return solution, False
+        read = session.read(token)
+        if read is not None and abs(read.value - solution.value) <= (
+            _VALUE_TOL * max(1.0, abs(solution.value))
+        ):
+            return read, False
+        return session.solve(warm_basis=token), True
+
+    def _count_fallbacks(self, n: int) -> None:
+        self.metrics.counter(
+            "repro_online_read_fallbacks_total",
+            help="Token reads that fell back to a re-solve from the token.",
+        ).inc(n)
 
     # ------------------------------------------------------------------
     def step(self, event: PlatformEvent) -> DisruptionRecord:
@@ -702,45 +719,34 @@ class OnlineScheduler:
             hi=2.0,
             n_bins=64,
         ).observe(record.churn)
+        self._count_fallbacks(record.read_fallbacks)
+        self.metrics.counter(
+            "repro_online_near_ties_total",
+            help="Events whose warm and oracle values agree to 1e-9 "
+            "relative while their points differ.",
+        ).inc(int(record.near_tie))
         return record
 
     def _step(self, event: PlatformEvent) -> DisruptionRecord:
         t0 = time.perf_counter()
         classification = self._apply(event)
-        warm_before = self._session.stats.iterations
-        solution = self._extract(self._session, self._solve_incremental())
+        stats = self._session.stats
+        iterations_before, solves_before = stats.iterations, stats.n_solves
+        solution, fell_back = self._extract(
+            self._session, self._solve_incremental()
+        )
         reoptimize_seconds = time.perf_counter() - t0
-        warm_iterations = self._session.stats.iterations - warm_before
+        warm_iterations = stats.iterations - iterations_before
+        warm_solves = stats.n_solves - solves_before
+        read_fallbacks = int(fell_back)
 
         oracle_iterations = oracle_value = oracle_match = None
         if self._oracle is not None:
             oracle_before = self._oracle.stats.iterations
-            oracle_solution = self._extract(
+            oracle_solution, fell_back = self._extract(
                 self._oracle, self._oracle.solve(warm_basis=None)
             )
-            if not (
-                solution.value == oracle_solution.value
-                and np.array_equal(solution.x, oracle_solution.x)
-            ) and (
-                abs(solution.value - oracle_solution.value)
-                <= 1e-9 * max(1.0, abs(oracle_solution.value))
-            ):
-                # Near-tie: two optimal vertices whose primary AND
-                # generic secondary objectives tie at roundoff, so each
-                # side's own support token keeps its own vertex. Break
-                # the tie deterministically through the *oracle's*
-                # canonical token — the cold path is a pure function of
-                # the instance, so both runs of any mode re-extract
-                # through the same token and land bit-identically. The
-                # value agreement above (1e-9 relative) is what keeps
-                # this a genuine check: a warm path stuck at a
-                # sub-optimal vertex fails it and records a mismatch.
-                tie_token = self._support_token(oracle_solution.x)
-                if tie_token is not None:
-                    solution = self._session.solve(warm_basis=tie_token)
-                    oracle_solution = self._oracle.solve(
-                        warm_basis=tie_token
-                    )
+            read_fallbacks += int(fell_back)
             oracle_iterations = self._oracle.stats.iterations - oracle_before
             oracle_value = float(oracle_solution.value)
             oracle_match = bool(
@@ -795,6 +801,8 @@ class OnlineScheduler:
             oracle_iterations=(
                 int(oracle_iterations) if oracle_iterations is not None else None
             ),
+            warm_solves=int(warm_solves),
+            read_fallbacks=read_fallbacks,
             reoptimize_seconds=float(reoptimize_seconds),
             value=lp_value,
             oracle_value=oracle_value,

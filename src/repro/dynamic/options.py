@@ -36,8 +36,10 @@ class DynamicOptions:
     check_oracle:
         Solve the from-scratch oracle (cold, same mutated instance)
         after every incremental re-solve and record the bitwise
-        comparison. The benchmark gate requires it; switch it off only
-        to halve the LP work of production runs.
+        comparison. It costs the oracle's solve and token read per
+        event and changes no result: the oracle only observes, so every
+        solution and state dict is the same with it on or off. The
+        benchmark gate requires it; production runs switch it off.
     """
 
     replay: bool = True

@@ -103,7 +103,7 @@ class _LPRRBase(Heuristic):
                 # Cold full-program solve: identical arithmetic in the
                 # warm and cold paths, so the returned allocation is
                 # bitwise-comparable across them.
-                return session.solve(cold=True)
+                return session.solve(warm_basis=None)
 
         else:
             session = None

@@ -31,6 +31,7 @@ Warm starts accept the ``basis``/``at_upper`` arrays of a previous
 :class:`RevisedResult` on a nearby LP; the solver picks primal or dual
 iterations automatically from the carried basis's status and falls back
 to the cold path when the basis is singular or unusable.
+:func:`read_vertex` reads the point of a given basis without pivoting.
 """
 
 from __future__ import annotations
@@ -505,15 +506,46 @@ def _primal_feasible(p: _Program) -> bool:
     return _count_primal_violations(p) == 0
 
 
-def _count_primal_violations(p: _Program) -> int:
+def _count_primal_violations(p: _Program, xb: "np.ndarray | None" = None) -> int:
     """How many basic variables sit outside their bounds."""
-    xb, _ = p.basic_solution()
+    if xb is None:
+        xb, _ = p.basic_solution()
     lb_b = p.lb[p.lu.basis]
     ub_b = p.ub[p.lu.basis]
     viol = lb_b - xb > p.feas_tol
     finite = np.isfinite(ub_b)
     viol |= finite & (xb - ub_b > p.feas_tol)
     return int(np.count_nonzero(viol))
+
+
+def read_vertex(
+    A: np.ndarray,
+    b: np.ndarray,
+    bounds: "tuple[np.ndarray, np.ndarray]",
+    basis: np.ndarray,
+    at_upper: np.ndarray,
+) -> "np.ndarray | None":
+    """The point of a given basis, read without pivoting.
+
+    Nonbasic columns rest at their lower bound, or at their upper bound
+    where ``at_upper`` flags them; ``x_B`` comes from one LU
+    factorization of the basis and one FTRAN — the arithmetic
+    :func:`revised_solve` reports its optimum with, so the read equals a
+    re-solve from ``basis`` that takes no pivot. Returns the structural
+    ``x``, or ``None`` when the basis is singular or ``x_B`` leaves its
+    box by more than the engine's feasibility tolerance. Optimality is
+    not checked: the caller compares the objective with a solve's.
+    """
+    lb, ub = bounds
+    p = _Program(np.zeros(A.shape[1]), A, b, lb, ub, max_iter=0)
+    if not p.load_basis(basis):
+        return None
+    up = np.asarray(at_upper, dtype=bool) & (p.vstat != _BASIC)
+    p.vstat[up & np.isfinite(p.ub)] = _AT_UPPER
+    xb, x = p.basic_solution()
+    if _count_primal_violations(p, xb):
+        return None
+    return x[: p.n]
 
 
 def _dual_feasible(p: _Program) -> bool:

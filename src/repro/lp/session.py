@@ -11,8 +11,8 @@ exploits exactly that structure:
   new data into the owned instance (no ``with_bounds`` copy, no
   ``build_lp`` re-assembly);
 * **warm start** — the optimal basis of the previous solve is carried
-  across calls (via original-coordinate keys) and seeds the simplex,
-  which skips phase 1 whenever the carried basis is still usable.
+  across calls (as a :class:`Basis` token) and seeds the simplex, which
+  skips phase 1 whenever the carried basis is still usable.
 
 The engine is the bounded-variable revised simplex over an
 LU-factorized basis (:mod:`repro.lp.revised`): upper bounds are handled
@@ -37,12 +37,13 @@ goes numerically bad.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.lp.builder import LPInstance, active_build_cache
-from repro.lp.revised import revised_solve
+from repro.lp.revised import read_vertex, revised_solve
 from repro.obs.trace import current_tracer
 from repro.lp.scipy_backend import solve_lp_scipy
 from repro.lp.solution import LPSolution
@@ -53,10 +54,21 @@ from repro.util.errors import InfeasibleError, UnboundedError
 _AUTO = object()
 
 #: golden-ratio conjugate: ``frac(j * _PHI)`` is an equidistributed,
-#: deterministic pseudo-random stream over column indices — generic
-#: enough that no two vertices of an optimal face tie on the secondary
-#: objective it seeds
+#: deterministic stream over column indices (the ``"betas"`` weights)
 _PHI = 0.6180339887498949
+
+#: seed of the ``all_columns`` weight stream
+_CANON_SEED = 20050404
+
+
+@functools.lru_cache(maxsize=8)
+def _generic_weights(n: int) -> np.ndarray:
+    """``n`` weights drawn uniformly from ``[1, 2)`` by a fixed-seed
+    PCG64: a pure function of the column index (a longer draw extends a
+    shorter one), with no arithmetic relation between indices."""
+    w = 1.0 + np.random.Generator(np.random.PCG64(_CANON_SEED)).random(n)
+    w.flags.writeable = False
+    return w
 
 
 def _canon_weights(ub: np.ndarray, all_columns: bool = False) -> np.ndarray:
@@ -69,15 +81,23 @@ def _canon_weights(ub: np.ndarray, all_columns: bool = False) -> np.ndarray:
     degenerate LPs. By default columns with infinite upper bound get
     weight zero (an optimal face can be unbounded along them, and the
     heuristics' rounding decisions only consume the finite-bounded betas
-    anyway); ``all_columns`` weights every structural column — only
-    sound when the caller knows the optimal face is bounded along all of
-    them, as program-(7) faces are (the compute rows cap the alphas, the
-    maxmin rows cap ``t``).
+    anyway); these weights are ``1 + frac(j * phi)``. ``all_columns``
+    weights every structural column — only sound when the caller knows
+    the optimal face is bounded along all of them, as program-(7) faces
+    are (the compute rows cap the alphas, the maxmin rows cap ``t``).
+
+    The golden-ratio stream is not generic enough for that mode:
+    ``frac(a * phi) + frac(b * phi)`` and ``frac(c * phi) + frac(d * phi)``
+    differ by an integer whenever ``a + b == c + d``, so two vertices of
+    one face that swap columns of equal index sum at equal values tie on
+    the secondary objective to roundoff, and warm and cold solves may
+    stop at different ones. ``all_columns`` therefore draws its weights
+    from :func:`_generic_weights`.
     """
+    if all_columns:
+        return _generic_weights(ub.shape[0])
     w = 1.0 + (np.arange(ub.shape[0]) * _PHI) % 1.0
-    if not all_columns:
-        w = np.where(np.isfinite(ub), w, 0.0)
-    return w
+    return np.where(np.isfinite(ub), w, 0.0)
 
 
 @dataclass
@@ -104,25 +124,27 @@ class SessionStats:
 
 
 class Basis:
-    """Opaque optimal-basis token, keyed in original-instance coordinates.
+    """Opaque optimal-basis token in the bounded revised simplex's own
+    column numbering.
 
-    Each key is ``('x', var)`` (structural variable) or ``('r', row)``
-    (slack of an ``A_ub`` row). The bounded simplex needs one more bit
-    per nonbasic variable: whether it rests at its lower or its upper
-    bound. ``at_upper`` carries the original indices of the at-upper
-    variables.
+    ``columns`` holds the ``m`` basic columns: structural variable ``j``
+    is column ``j``, the slack of ``A_ub`` row ``i`` is column ``n + i``.
+    The bounded simplex needs one more bit per nonbasic column: whether
+    it rests at its lower or its upper bound. ``at_upper`` is that mask
+    over all ``n + m`` columns. Tokens are never written to: the solver
+    copies what it keeps.
     """
 
-    __slots__ = ("keys", "at_upper")
+    __slots__ = ("columns", "at_upper")
 
-    def __init__(self, keys, at_upper=()):
-        self.keys = tuple(keys)
-        self.at_upper = tuple(at_upper)
+    def __init__(self, columns, at_upper):
+        self.columns = np.asarray(columns, dtype=int)
+        self.at_upper = np.asarray(at_upper, dtype=bool)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Basis({len(self.keys)} basic columns, "
-            f"{len(self.at_upper)} at upper)"
+            f"Basis({self.columns.size} basic columns, "
+            f"{int(self.at_upper.sum())} at upper)"
         )
 
 
@@ -140,7 +162,7 @@ class LPSession:
     warm_start:
         ``False`` turns the session into the cold reference: every call
         solves from scratch (identical arithmetic to the warm path's
-        ``cold=True`` calls, enabling bitwise checks).
+        ``solve(warm_basis=None)`` calls, enabling bitwise checks).
     max_iter:
         Pivot budget per simplex call; exhausting it triggers one cold
         HiGHS fallback solve instead of failing.
@@ -272,7 +294,6 @@ class LPSession:
         ub: "np.ndarray | None" = None,
         b_ub: "np.ndarray | None" = None,
         warm_basis=_AUTO,
-        cold: bool = False,
     ) -> LPSolution:
         """Re-solve the owned instance after an in-place data update.
 
@@ -284,12 +305,10 @@ class LPSession:
         warm_basis:
             Basis token to warm-start from; defaults to the previous
             solve's basis. Pass an explicit token to re-solve from a
-            different parent (branch-and-bound), or ``None`` to start
-            cold once while keeping the session warm.
-        cold:
-            Solve this call from scratch, ignoring any carried basis
-            (used for final solves that must be bitwise-comparable
-            against a ``warm_start=False`` session).
+            different parent (branch-and-bound), or ``None`` to solve
+            this call from scratch while keeping the session warm — the
+            arithmetic of a ``warm_start=False`` session, so the result
+            is bitwise-comparable with one.
 
         Raises
         ------
@@ -307,7 +326,7 @@ class LPSession:
             np.copyto(inst.b_ub, b_ub)
 
         self.stats.n_solves += 1
-        if cold or not self.warm_start:
+        if not self.warm_start:
             basis = None
         else:
             basis = self._basis if warm_basis is _AUTO else warm_basis
@@ -367,7 +386,7 @@ class LPSession:
             raise error(f"LP {res.status} (revised simplex)")
         if res.status != "optimal" or res.x is None:
             return self._fallback_scipy()
-        self._basis = self._basis_of(res, n)
+        self._basis = Basis(res.basis, res.at_upper)
         self._lu = res.lu
         return LPSolution(
             x=np.asarray(res.x, dtype=float),
@@ -381,38 +400,39 @@ class LPSession:
         self._basis = None
         return solve_lp_scipy(self.instance)
 
+    def read(self, basis: Basis) -> "LPSolution | None":
+        """The point of ``basis`` on the current data, without pivoting.
+
+        One LU factorization of the basis and one FTRAN
+        (:func:`repro.lp.revised.read_vertex`). Returns ``None`` when the
+        token does not fit this program, the basis is singular, or its
+        point is not primal-feasible. Optimality is the caller's to
+        judge (compare the value with a solve's). The carried basis and
+        the stats are left alone: a read is not a solve.
+        """
+        inst = self.instance
+        n = inst.obj.shape[0]
+        cols, at_upper = self._basis_arrays(basis, n, inst.b_ub.shape[0])
+        if cols is None:
+            return None
+        x = read_vertex(self._A, inst.b_ub, (inst.lb, inst.ub), cols, at_upper)
+        if x is None:
+            return None
+        return LPSolution(x=x, value=float(inst.obj @ x), index=inst.index)
+
     # ------------------------------------------------------------------
     @staticmethod
     def _basis_arrays(
         basis: Basis, n: int, m: int
     ) -> "tuple[np.ndarray | None, np.ndarray | None]":
-        """Decode a basis token into ``(basis columns, at_upper mask)``.
-
-        The program is never reduced, so the mapping is one-to-one:
-        ``('x', var)`` is column ``var``, ``('r', row)`` is slack column
-        ``n + row``. A token of the wrong size or with repeated columns
-        decodes to ``(None, None)`` — one cold start.
-        """
-        cols = [
-            int(ident) if kind == "x" else n + int(ident)
-            for kind, ident in basis.keys
-        ]
-        if len(cols) != m or len(set(cols)) != m:
+        """Validate a token: ``(basis columns, at_upper mask)``, or
+        ``(None, None)`` — one cold start — for a token of the wrong size
+        or with repeated columns."""
+        cols = basis.columns
+        if (
+            cols.shape != (m,)
+            or basis.at_upper.shape != (n + m,)
+            or np.unique(cols).size != m
+        ):
             return None, None
-        basic = set(cols)
-        at_upper = np.zeros(n + m, dtype=bool)
-        for var in basis.at_upper:
-            v = int(var)
-            if v not in basic:
-                at_upper[v] = True
-        return np.asarray(cols, dtype=int), at_upper
-
-    @staticmethod
-    def _basis_of(res, n: int) -> Basis:
-        """Translate a revised-simplex result into an original-key token."""
-        keys = [
-            ("x", int(col)) if col < n else ("r", int(col - n))
-            for col in res.basis
-        ]
-        up = [int(j) for j in np.nonzero(res.at_upper[:n])[0]]
-        return Basis(keys, up)
+        return cols, basis.at_upper

@@ -26,6 +26,11 @@ from repro.core.allocation import Allocation
 from repro.util.errors import ScheduleError
 from repro.util.rational import as_fraction, common_period
 
+#: relative distance below a grid point that :func:`quantize_allocation`
+#: treats as representation noise and snaps up (a snap lifts an entry by
+#: at most this fraction of its scaled value)
+_SNAP_TOL = 1e-12
+
 
 @dataclass
 class QuantizedAllocation:
@@ -100,16 +105,19 @@ def quantize_allocation(
     """Round every ``alpha`` down onto the grid ``1/denominator``.
 
     Feasibility is preserved (entries only decrease, betas unchanged) and
-    the period divides ``denominator``. Entries within float tolerance of
-    a grid point are snapped rather than floored so that e.g. an exact
-    rate of 1.5 does not lose a full grid step to representation noise.
+    the period divides ``denominator``. Entries within representation
+    noise (:data:`_SNAP_TOL` relative) below a grid point are snapped up
+    rather than floored, so that e.g. an exact rate of 1.5 does not lose
+    a full grid step to roundoff; the band is that narrow so a snap
+    never lifts an entry measurably above its original.
     """
     if denominator < 1:
         raise ScheduleError(f"denominator must be >= 1, got {denominator}")
     K = alloc.n_clusters
     scaled = np.asarray(alloc.alpha, dtype=float) * denominator
     snapped = np.where(
-        np.abs(scaled - np.round(scaled)) <= 1e-7 * np.maximum(1.0, np.abs(scaled)),
+        np.abs(scaled - np.round(scaled))
+        <= _SNAP_TOL * np.maximum(1.0, np.abs(scaled)),
         np.round(scaled),
         np.floor(scaled),
     ).astype(np.int64)

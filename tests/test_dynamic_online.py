@@ -10,6 +10,7 @@ float.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,12 +24,17 @@ from repro import (
     SteadyStateProblem,
 )
 from repro.dynamic import (
+    DisruptionReport,
     EventTrace,
     EventTraceError,
     OnlineScheduler,
     PlatformEvent,
     drift_trace,
 )
+from repro.lp.builder import build_lp
+from repro.lp.scipy_backend import solve_lp_scipy
+from repro.lp.session import LPSession
+from repro.lp.solution import LPSolution
 from repro.platform import line_platform
 
 FAST = DynamicOptions(replay=False)
@@ -160,6 +166,107 @@ class TestMutationPaths:
         assert remaining < both
         sched.step(_ev("link-recover", "seg1", time=3.0))
         assert sched._session.pinned_variables == ()
+
+
+class TestTokenRead:
+    """One solve plus one factorized read of the support token per
+    event, with a counted re-solve when the read does not hold."""
+
+    def test_one_solve_per_event(self, problem):
+        sched = _scheduler(problem)
+        for event in [
+            _ev("cpu-drift", 0, factor=0.7),
+            _ev("node-fail", 1, time=2.0),
+            _ev("link-fail", "seg0", time=3.0),
+            _ev("app-depart", 2, time=4.0),
+        ]:
+            record = sched.step(event)
+            assert record.warm_solves == 1
+            assert record.read_fallbacks == 0
+        fallbacks = sched.metrics.counter("repro_online_read_fallbacks_total")
+        assert fallbacks.value == 0
+
+    @pytest.mark.parametrize("broken", ["infeasible", "value"])
+    def test_read_fallback_is_counted_and_matches_highs(
+        self, problem, monkeypatch, broken
+    ):
+        sched = _scheduler(problem)
+        real_read = LPSession.read
+
+        def bad_read(session, basis):
+            if broken == "infeasible":
+                return None
+            read = real_read(session, basis)
+            return LPSolution(
+                x=read.x, value=read.value * (1.0 + 1e-6), index=read.index
+            )
+
+        monkeypatch.setattr(LPSession, "read", bad_read)
+        report = sched.run(
+            EventTrace(seed=0, events=(_ev("cpu-drift", 0, factor=0.5),))
+        )
+        (record,) = report.records
+        # both sides re-solved from their token and still agree bitwise
+        assert record.read_fallbacks == 2
+        assert record.warm_solves == 2
+        assert record.oracle_match is True
+        assert report.summary()["read_fallbacks"] == 2
+        counter = sched.metrics.counter("repro_online_read_fallbacks_total")
+        assert counter.value == 2
+        reference = solve_lp_scipy(
+            build_lp(SteadyStateProblem(sched.platform, sched.payoffs, "maxmin"))
+        )
+        assert record.value == pytest.approx(reference.value, rel=1e-9)
+
+    def test_warm_and_oracle_points_of_one_vertex_share_a_token(self):
+        problem = SteadyStateProblem(
+            line_platform(5, speed=100.0, g=50.0, bw=10.0, max_connect=4),
+            objective="maxmin",
+        )
+        sched = _scheduler(problem)
+        sched.step(_ev("node-fail", 0))
+        sched.step(_ev("cpu-drift", 1, factor=0.5, time=2.0))
+        warm = sched._session.solve()  # from the carried basis
+        cold = sched._oracle.solve(warm_basis=None)
+        # one vertex, reached through two different bases
+        assert not np.array_equal(
+            sched._session.last_basis.columns, sched._oracle.last_basis.columns
+        )
+        assert warm.value == pytest.approx(cold.value, rel=1e-12)
+        noise = 1e-12 * np.random.default_rng(0).standard_normal(warm.x.shape)
+        tokens = [
+            sched._support_token(x) for x in (warm.x, cold.x, warm.x + noise)
+        ]
+        for token in tokens[1:]:
+            assert np.array_equal(token.columns, tokens[0].columns)
+            assert np.array_equal(token.at_upper, tokens[0].at_upper)
+        warm_read = sched._session.read(tokens[0])
+        cold_read = sched._oracle.read(tokens[1])
+        assert np.array_equal(warm_read.x, cold_read.x)
+        assert warm_read.value == pytest.approx(warm.value, rel=1e-12)
+
+    def test_near_ties_are_counted_never_hidden(self, problem):
+        sched = _scheduler(problem)
+        record = sched.step(_ev("cpu-drift", 0, factor=0.5))
+        assert record.near_tie is False
+        tie = dataclasses.replace(
+            record, oracle_match=False, oracle_value=record.value
+        )
+        far = dataclasses.replace(
+            record, oracle_match=False, oracle_value=2.0 * record.value
+        )
+        assert tie.near_tie is True
+        assert far.near_tie is False
+        report = DisruptionReport(
+            trace=EventTrace(seed=0, events=()),
+            records=(record, tie, far),
+            initial_value=sched.initial_value,
+            initial_solution_sha=sched.initial_solution_sha,
+        )
+        summary = report.summary()
+        assert summary["near_ties"] == 1
+        assert summary["all_oracle_match"] is False
+        assert sched.metrics.counter("repro_online_near_ties_total").value == 0
 
 
 class TestEventValidation:

@@ -11,13 +11,16 @@ hold bit-for-bit:
 * **JSON replayability**: running the scheduler on the trace recovered
   from its own JSON serialization reproduces the same ``state_dict`` —
   a saved trace file is a complete replay artifact.
+* **the oracle only observes**: warm and from-scratch runs, each with
+  the oracle on and off, report the same per-event solutions and
+  allocations and the same ``state_dict`` — checking never steers.
 """
 
 from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings as hyp_settings
+from hypothesis import example, given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro import SteadyStateProblem
@@ -25,6 +28,11 @@ from repro.dynamic import DynamicOptions, EventTrace, OnlineScheduler, PlatformE
 from repro.platform import line_platform
 
 FAST = DynamicOptions(replay=False)
+#: check_oracle -> options
+OPTIONS = {
+    oracle: DynamicOptions(replay=False, check_oracle=oracle)
+    for oracle in (True, False)
+}
 
 _FACTORS = (0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0)
 _PAYOFFS = (0.5, 1.0, 1.5, 2.0)
@@ -116,3 +124,59 @@ def test_incremental_matches_from_scratch_and_replays_from_json(data):
         problem, options=FAST, warm_start=False
     ).run(recovered)
     assert warm.state_dict() == cold.state_dict()
+
+
+def _line(n_clusters: int):
+    return line_platform(n_clusters, speed=100.0, g=50.0, bw=10.0, max_connect=4)
+
+
+@st.composite
+def online_cases(draw):
+    """(K, objective, legal trace) on a K-cluster line platform."""
+    n_clusters = draw(st.integers(min_value=2, max_value=5), label="K")
+    objective = draw(st.sampled_from(("maxmin", "sum")), label="objective")
+    trace = draw(
+        legal_traces(n_clusters, tuple(_line(n_clusters).links)), label="trace"
+    )
+    return n_clusters, objective, trace
+
+
+def _trace(*events) -> EventTrace:
+    return EventTrace(seed=0, events=tuple(events))
+
+
+#: golden-ratio canonicalization weights tied two optimal vertices here;
+#: the oracle's tie-break then made event 2 depend on check_oracle
+DEPART_THEN_DRIFT = _trace(
+    PlatformEvent(time=0.5, kind="app-depart", target=0),
+    PlatformEvent(time=1.0, kind="bw-drift", target=0, factor=0.25),
+)
+#: the same tie, reached through a node failure
+DEPART_THEN_FAIL = _trace(
+    PlatformEvent(time=0.5, kind="app-depart", target=0),
+    PlatformEvent(time=1.0, kind="node-fail", target=0),
+)
+
+
+@given(case=online_cases())
+@example(case=(4, "maxmin", DEPART_THEN_DRIFT))
+@example(case=(4, "maxmin", DEPART_THEN_FAIL))
+@hyp_settings(max_examples=25, deadline=None)
+def test_oracle_only_observes(case):
+    n_clusters, objective, trace = case
+    problem = SteadyStateProblem(_line(n_clusters), objective=objective)
+    reports = {
+        (warm, oracle): OnlineScheduler(
+            problem, options=OPTIONS[oracle], warm_start=warm
+        ).run(trace)
+        for warm in (True, False)
+        for oracle in (True, False)
+    }
+    production = reports[True, False]
+    shas = [(r.solution_sha, r.alloc_sha) for r in production.records]
+    for (warm, oracle), report in reports.items():
+        assert [(r.solution_sha, r.alloc_sha) for r in report.records] == shas
+        assert report.state_dict() == production.state_dict()
+        if oracle:
+            assert all(r.oracle_match for r in report.records), report.summary()
+            assert report.summary()["near_ties"] == 0

@@ -18,7 +18,7 @@ from repro.heuristics.base import registry
 from repro.lp.builder import _COOBuilder, LPInstance, build_lp
 from repro.lp.revised import revised_solve
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.session import LPSession
+from repro.lp.session import _PHI, Basis, LPSession, _canon_weights
 from repro.util.errors import InfeasibleError
 
 from tests.strategies import problems
@@ -224,13 +224,14 @@ class TestColdReferencePath:
         assert a.value == b.value
 
     def test_warm_cold_call_matches_cold_session(self, problem_factory):
-        """solve(cold=True) on a warm session must be bitwise-identical
-        to a warm_start=False session (shared final-solve arithmetic)."""
+        """solve(warm_basis=None) on a warm session must be bitwise-
+        identical to a warm_start=False session (shared final-solve
+        arithmetic)."""
         problem = problem_factory(seed=3, n_clusters=4)
         warm = LPSession(build_lp(problem))
         cold = LPSession(build_lp(problem), warm_start=False)
         warm.solve()  # prime a basis; must not leak into the cold call
-        a = warm.solve(cold=True)
+        a = warm.solve(warm_basis=None)
         b = cold.solve()
         b2 = cold.solve()
         assert np.array_equal(a.x, b.x)
@@ -633,3 +634,55 @@ class TestMutationApi:
         second = LPSession(build_lp(problem), canon="all").solve()
         assert first.value == second.value
         assert np.array_equal(first.x, second.x)
+
+    def test_canon_all_weights_separate_equal_index_sums(self):
+        """Golden-ratio weights tie any two column sets of equal index
+        sum (up to an integer); the ``all_columns`` stream must not. The
+        sets are two swaps between optimal vertices of one online
+        program (line platform, K=4, MAXMIN, app 0 departed, node 0
+        failed) whose secondary objectives tied to 1e-13."""
+        ub = np.full(40, np.inf)
+        golden = 1.0 + (np.arange(40) * _PHI) % 1.0
+        weights = _canon_weights(ub, all_columns=True)
+        assert _canon_weights(ub[:30], all_columns=True).tolist() == (
+            weights[:30].tolist()
+        )
+        for left, right in (([5, 11, 14], [6, 9, 15]), ([20, 27], [23, 24])):
+            tie = golden[left].sum() - golden[right].sum()
+            assert abs(tie - round(tie)) < 1e-12
+            assert abs(weights[left].sum() - weights[right].sum()) > 1e-3
+
+
+class TestBasisRead:
+    """``LPSession.read``: the point of a basis token without pivoting."""
+
+    def test_read_of_last_basis_reproduces_the_solve_bitwise(self, problem_factory):
+        problem = problem_factory(seed=2, n_clusters=5)
+        session = LPSession(build_lp(problem), canon="all")
+        solution = session.solve()
+        basis = session.last_basis
+        stats = session.stats.as_dict()
+        read = session.read(basis)
+        assert np.array_equal(read.x, solution.x)
+        assert read.value == solution.value
+        # a read is not a solve: no stats, same carried token
+        assert session.stats.as_dict() == stats
+        assert session.last_basis is basis
+
+    def test_read_rejects_misfit_and_infeasible_tokens(self, problem_factory):
+        problem = problem_factory(seed=2, n_clusters=4)
+        inst = build_lp(problem)
+        session = LPSession(inst)
+        x = session.solve().x
+        basis = session.last_basis
+        assert session.read(Basis(basis.columns[:-1], basis.at_upper)) is None
+        assert session.read(Basis(basis.columns, basis.at_upper[:-1])) is None
+        # cut a row below its use: the basis's own slack goes negative
+        n = inst.obj.shape[0]
+        slack = inst.b_ub - inst.A_ub @ x
+        row = next(
+            int(col - n) for col in basis.columns
+            if col >= n and slack[col - n] > 1e-6
+        )
+        session.set_rhs([row], inst.b_ub[row] - 2.0 * slack[row])
+        assert session.read(basis) is None

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.allocation import Allocation
 from repro.schedule.rationalize import (
@@ -61,6 +61,8 @@ class TestQuantize:
         assert q.throughputs[0] == pytest.approx(1.5)
 
     @given(st.integers(min_value=0, max_value=10_000))
+    @example(3342)  # an entry 1.9e-8 below a grid point: floor, no snap
+    @example(7400)  # an entry 3.5e-7 below a grid point: floor, no snap
     def test_quantized_never_exceeds_original(self, seed):
         rng = np.random.default_rng(seed)
         a = Allocation.zeros(3)
