@@ -95,7 +95,7 @@ def test_api_reuse_gate():
     print(f"instances:        {n_instances} (same platform, seeds 0..{n_instances - 1})")
     print(f"cold LP builds:   fresh {fresh_builds}  reused {reused_builds} "
           f"({100 * build_reduction:.1f}% fewer)")
-    print(f"template hits:    {stats['build_hits']}  dense hits: {stats['dense_hits']}")
+    print(f"template hits:    {stats['build_hits']}")
     print(f"wall-clock:       fresh {fresh_time:.3f}s  reused {reused_time:.3f}s "
           f"({speedup:.2f}x)")
     print(f"bitwise identical results: yes ({len(set(fresh_sig))} distinct roundings)")

@@ -33,13 +33,11 @@ trajectory is machine-trackable from this PR on.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from pathlib import Path
 
 from repro import DynamicOptions, Solver, SolverConfig, scenario_registry
-from repro.lp.basis_lu import LUBasis
 
-from benchmarks.conftest import banner, full_scale
+from benchmarks.conftest import banner, counting_factorizations, full_scale
 
 #: minimum drift-family iteration reduction the warm path must deliver
 MIN_DRIFT_REDUCTION = 0.40
@@ -59,24 +57,6 @@ def _run(family: str, seed: int, scenario: str = SCENARIO, check_oracle: bool = 
     return Solver(config).run_online(scenario, family, rng=seed)
 
 
-@contextmanager
-def _counting_factorizations():
-    """Count the LU factorizations (basis loads and refactorizations)
-    made inside the block."""
-    count = [0]
-    factorize = LUBasis._factorize
-
-    def counted(self):
-        count[0] += 1
-        factorize(self)
-
-    LUBasis._factorize = counted
-    try:
-        yield count
-    finally:
-        LUBasis._factorize = factorize
-
-
 def _sweep(scenario: str, families, seeds) -> dict:
     out = {"scenario": scenario, "seeds": list(seeds), "families": {}}
     for family in families:
@@ -91,7 +71,7 @@ def _sweep(scenario: str, families, seeds) -> dict:
             "replay_exact": True,
             "observes_only": True,
             "warm_solves": 0,
-            "lu_factorizations": 0,
+            "factorizations": 0,
             "read_fallbacks": 0,
             "near_ties": 0,
             "multi_solve_rhs_bounds_events": 0,
@@ -104,7 +84,7 @@ def _sweep(scenario: str, families, seeds) -> dict:
             )
             # The production configuration (no oracle) measures the warm
             # path's work alone and must reproduce the checked run.
-            with _counting_factorizations() as factorizations:
+            with counting_factorizations() as factorizations:
                 production = _run(family, seed, scenario, check_oracle=False)
             row["observes_only"] &= production.state_dict() == report.state_dict()
             row["runs"] += 1
@@ -114,7 +94,7 @@ def _sweep(scenario: str, families, seeds) -> dict:
             row["n_events"] += summary["n_events"]
             row["mean_reoptimize_seconds"] += summary["mean_reoptimize_seconds"]
             row["warm_solves"] += production.summary()["warm_solves"]
-            row["lu_factorizations"] += factorizations[0]
+            row["factorizations"] += factorizations[0]
             row["read_fallbacks"] += (
                 summary["read_fallbacks"] + production.summary()["read_fallbacks"]
             )
@@ -143,7 +123,7 @@ def _sweep(scenario: str, families, seeds) -> dict:
         row["solves_per_event"] = row["warm_solves"] / n
         row["pivots_per_event"] = row["warm_iterations"] / n
         # over the whole production run, initial solve included
-        row["lu_factorizations_per_event"] = row["lu_factorizations"] / n
+        row["factorizations_per_event"] = row["factorizations"] / n
         out["families"][family] = row
     return out
 
@@ -161,7 +141,7 @@ def _print(data: dict) -> None:
               f"{1e3 * row['mean_reoptimize_seconds']:>9.2f} "
               f"{row['oracle_match_runs']}/{row['runs']:>4} "
               f"{row['solves_per_event']:>10.2f} {row['pivots_per_event']:>10.2f} "
-              f"{row['lu_factorizations_per_event']:>6.2f} "
+              f"{row['factorizations_per_event']:>6.2f} "
               f"{row['read_fallbacks']:>10} {row['near_ties']:>10}")
 
 

@@ -8,9 +8,12 @@ HiGHS solve per step at *every* instance size. This benchmark is the
 regression gate for that core, on the two chain shapes that matter:
 
 * **LPRR pin chains at large K** (~K(K-1) solves, one ``lb == ub`` pin
-  per solve): the warm session must beat the cold-HiGHS-per-solve
-  reference (``lp_backend="scipy"``) in wall-clock at every K while
-  producing valid, LP-bounded allocations.
+  per solve), up to the paper's Figure-7 sizes (K=20 in the smoke run,
+  K=30 under ``REPRO_FULL=1``): the warm session must beat the
+  cold-HiGHS-per-solve reference (``lp_backend="scipy"``) in wall-clock
+  at every K while producing valid, LP-bounded allocations, and must
+  never need a HiGHS rescue (``n_fallback`` — otherwise a silent engine
+  failure). LU factorizations per solve are recorded per K.
 * **Branch-and-bound re-solve chains** (one beta bound flipped per
   node, dual-simplex repair of the parent basis): warm-session B&B must
   agree with the cold-HiGHS-per-node reference on the optimum and beat
@@ -33,7 +36,7 @@ from repro.heuristics.base import get_heuristic
 from repro.lp.builder import build_lp
 from repro.lp.scipy_backend import solve_lp_scipy
 
-from benchmarks.conftest import banner, full_scale
+from benchmarks.conftest import banner, counting_factorizations, full_scale
 
 _OUT = Path(__file__).resolve().parents[1] / "BENCH_simplex_core.json"
 
@@ -66,11 +69,14 @@ def _lprr_leg(k_values, seeds) -> dict:
             "dual_steps": 0,
             "n_warm": 0,
             "n_solves": 0,
+            "n_fallback": 0,
+            "factorizations": 0,
         }
         for seed in seeds:
             problem = _reference_problem(seed, k)
             lp_bound = solve_lp_scipy(build_lp(problem)).value
-            warm = lprr.run(problem, rng=seed, lp_backend="session")
+            with counting_factorizations() as factorizations:
+                warm = lprr.run(problem, rng=seed, lp_backend="session")
             ref = lprr.run(problem, rng=seed, lp_backend="scipy")
             for result in (warm, ref):
                 assert problem.check(result.allocation).ok
@@ -82,6 +88,11 @@ def _lprr_leg(k_values, seeds) -> dict:
             row["dual_steps"] += stats["dual_steps"]
             row["n_warm"] += stats["n_warm"]
             row["n_solves"] += stats["n_solves"]
+            row["n_fallback"] += stats["n_fallback"]
+            row["factorizations"] += factorizations[0]
+        row["factorizations_per_solve"] = (
+            row["factorizations"] / row["n_solves"]
+        )
         per_k[k] = row
     return per_k
 
@@ -126,7 +137,7 @@ def _sweep(lprr_k, bnb_k, seeds) -> dict:
 
 
 def test_simplex_core_regression(benchmark):
-    lprr_k = (8, 12, 16) if full_scale() else (8, 12)
+    lprr_k = (8, 12, 16, 20, 30) if full_scale() else (8, 12, 20)
     bnb_k = (4, 5)
     seeds = range(2)
     data = benchmark.pedantic(
@@ -139,12 +150,15 @@ def test_simplex_core_regression(benchmark):
         "on LPRR pin chains and B&B bound-flip chains.",
     )
     print(f"{'K':>3} {'t session (s)':>14} {'t scipy (s)':>12} "
-          f"{'speedup':>8} {'warm/solves':>12} {'iters':>7}")
+          f"{'speedup':>8} {'warm/solves':>12} {'iters':>7} "
+          f"{'LU/solve':>9} {'fallbacks':>10}")
     for k, row in data["lprr"].items():
         speedup = row["time_scipy"] / max(row["time_session"], 1e-12)
         print(f"{k:>3} {row['time_session']:>14.3f} {row['time_scipy']:>12.3f} "
               f"{speedup:>7.2f}x {row['n_warm']:>5}/{row['n_solves']:<6} "
-              f"{row['iterations']:>7}")
+              f"{row['iterations']:>7} "
+              f"{row['factorizations_per_solve']:>9.2f} "
+              f"{row['n_fallback']:>10}")
     print(f"{'K':>3} {'t bnb warm (s)':>15} {'t bnb cold (s)':>15} "
           f"{'nodes warm':>11} {'nodes cold':>11}")
     for k, row in data["bnb"].items():
@@ -170,6 +184,11 @@ def test_simplex_core_regression(benchmark):
         # The chains really run warm (carried bases accepted, not
         # silently falling back to cold restarts).
         assert row["n_warm"] >= 0.8 * (row["n_solves"] - len(list(seeds)))
+        # ... and the engine itself solves every LP: a HiGHS rescue
+        # would hide an engine failure behind a correct answer.
+        assert row["n_fallback"] == 0, (
+            f"{row['n_fallback']} HiGHS fallbacks at K={k}"
+        )
     for k, row in data["bnb"].items():
         assert row["value_matches"] == row["runs"]
         assert row["time_warm"] < row["time_cold"], (

@@ -53,11 +53,11 @@ def test_revised_simplex_matches_highs(benchmark):
     k = 40 if full_scale() else 20
     instance = build_lp(_problem(k))
     reference = solve_lp_scipy(instance)
-    dense = instance.A_ub.toarray()
 
     result = benchmark.pedantic(
         revised_solve,
-        args=(instance.obj, dense, instance.b_ub, (instance.lb, instance.ub)),
+        args=(instance.obj, instance.A_ub, instance.b_ub,
+              (instance.lb, instance.ub)),
         rounds=3,
         iterations=1,
     )

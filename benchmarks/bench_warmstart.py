@@ -19,7 +19,10 @@ regression gate for that subsystem:
   snapshot + full rebuild) re-solves cold each round — a residual
   rewrite moves the optimum wholesale, so basis carry does not pay
   there — and must return a valid allocation on every problem; its
-  iteration count and time are recorded.
+  iteration count and time are recorded;
+* no session solve may need a HiGHS rescue (``n_fallback``, recorded
+  per K with the warm path's LU factorizations per solve): a rescue
+  returns the right answer and so would hide an engine failure.
 
 Results land in ``BENCH_warmstart.json`` (repo root) so the perf
 trajectory is machine-trackable from this PR on.
@@ -35,7 +38,7 @@ import numpy as np
 from repro import PlatformSpec, SteadyStateProblem, generate_platform
 from repro.heuristics.base import get_heuristic
 
-from benchmarks.conftest import banner, full_scale
+from benchmarks.conftest import banner, counting_factorizations, full_scale
 
 #: minimum sweep-wide iteration reduction the warm path must deliver
 MIN_REDUCTION = 0.30
@@ -74,12 +77,14 @@ def _sweep(k_values, seeds) -> dict:
             "iters_warm": 0, "iters_cold": 0,
             "time_warm": 0.0, "time_cold": 0.0, "time_scipy": 0.0,
             "warm_solves": 0, "solves": 0,
+            "fallbacks": 0, "factorizations_warm": 0,
         }
         it_row = {"iterations": 0, "time": 0.0}
         for seed in seeds:
             problem = _reference_problem(seed, k)
-            warm = lprr.run(problem, rng=seed, warm_start=True,
-                            lp_backend="session")
+            with counting_factorizations() as factorizations:
+                warm = lprr.run(problem, rng=seed, warm_start=True,
+                                lp_backend="session")
             cold = lprr.run(problem, rng=seed, warm_start=False,
                             lp_backend="session")
             same = np.array_equal(
@@ -104,11 +109,19 @@ def _sweep(k_values, seeds) -> dict:
             row["time_cold"] += cold.runtime
             row["warm_solves"] += ws["n_warm"]
             row["solves"] += ws["n_solves"]
+            row["factorizations_warm"] += factorizations[0]
 
             lprg_it_result = lprg_it.run(problem, lp_backend="session")
             assert problem.check(lprg_it_result.allocation).ok
-            it_row["iterations"] += lprg_it_result.meta["lp_stats"]["iterations"]
+            its = lprg_it_result.meta["lp_stats"]
+            it_row["iterations"] += its["iterations"]
             it_row["time"] += lprg_it_result.runtime
+            row["fallbacks"] += (
+                ws["n_fallback"] + cs["n_fallback"] + its["n_fallback"]
+            )
+        row["factorizations_per_solve"] = (
+            row["factorizations_warm"] / row["solves"]
+        )
         out["lprr"]["per_k"][k] = row
         out["lprg_it"]["per_k"][k] = it_row
 
@@ -140,12 +153,14 @@ def test_warmstart_regression(benchmark):
         "simplex work without changing a single output byte.",
     )
     print(f"{'K':>3} {'iters cold':>11} {'iters warm':>11} {'saved':>7} "
-          f"{'t cold (s)':>11} {'t warm (s)':>11} {'t scipy (s)':>12}")
+          f"{'t cold (s)':>11} {'t warm (s)':>11} {'t scipy (s)':>12} "
+          f"{'LU/solve':>9} {'fallbacks':>10}")
     for k, row in data["lprr"]["per_k"].items():
         saved = 1 - row["iters_warm"] / row["iters_cold"]
         print(f"{k:>3} {row['iters_cold']:>11} {row['iters_warm']:>11} "
               f"{saved:>6.0%} {row['time_cold']:>11.3f} {row['time_warm']:>11.3f} "
-              f"{row['time_scipy']:>12.3f}")
+              f"{row['time_scipy']:>12.3f} "
+              f"{row['factorizations_per_solve']:>9.2f} {row['fallbacks']:>10}")
     red = data["lprr"]["iteration_reduction"]
     print(f"LPRR: allocations bitwise-identical on "
           f"{data['lprr']['identical']}/{data['lprr']['runs']} runs; "
@@ -166,8 +181,12 @@ def test_warmstart_regression(benchmark):
     assert data["lprr"]["identical"] == data["lprr"]["runs"]
     assert data["lprr"]["iters_warm"] < data["lprr"]["iters_cold"]
     assert red >= MIN_REDUCTION, f"iteration reduction {red:.1%} below gate"
-    # The session must beat cold HiGHS at every K — no size cliff left.
+    # The session must beat cold HiGHS at every K — no size cliff left —
+    # and solve every LP itself, with no HiGHS rescue.
     for k, row in data["lprr"]["per_k"].items():
+        assert row["fallbacks"] == 0, (
+            f"{row['fallbacks']} HiGHS fallbacks at K={k}"
+        )
         assert row["time_warm"] < row["time_scipy"], (
             f"warm session slower than cold HiGHS at K={k}: "
             f"{row['time_warm']:.3f}s vs {row['time_scipy']:.3f}s"

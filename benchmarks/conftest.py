@@ -10,6 +10,7 @@ larger sweeps closer to the paper's.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -70,3 +71,23 @@ def banner(title: str, paper_claim: str) -> None:
     print(title)
     print(f"paper: {paper_claim}")
     print("=" * 72)
+
+
+@contextmanager
+def counting_factorizations():
+    """Count the LU factorizations (basis loads and refactorizations)
+    made inside the block; yields a one-element list."""
+    from repro.lp.basis_lu import LUBasis
+
+    count = [0]
+    factorize = LUBasis._factorize
+
+    def counted(self):
+        count[0] += 1
+        factorize(self)
+
+    LUBasis._factorize = counted
+    try:
+        yield count
+    finally:
+        LUBasis._factorize = factorize

@@ -1,0 +1,172 @@
+"""Dump the reproduction's default outputs as canonical JSON, or compare
+two dumps.
+
+A change that claims to keep results (bitwise, or within a tolerance)
+is checked by dumping on both checkouts and comparing::
+
+    PYTHONPATH=src python scripts/dump_outputs.py --out new.json
+    (in the other checkout) PYTHONPATH=src python scripts/dump_outputs.py --out old.json
+    python scripts/dump_outputs.py --compare old.json new.json
+
+The dump holds, keyed by a readable path:
+
+* every registered method on ``das2`` and ``table1-small``, three
+  scenario seeds each, and the non-exact methods (all but ``bnb`` and
+  ``milp``) on ``table1-medium``;
+* LPRR with ``warm_start=False`` and with ``lp_backend="scipy"``,
+  iterated LPRG on scipy and branch-and-bound cold;
+* the tables of a streamed K=4/6 sweep, without ``runtime_mean_by_k``
+  (wall clock);
+* ``run_online(...).state_dict()`` for the ``drift-heavy``,
+  ``failure-storm`` and ``churn`` event families.
+
+Each solve records its value, allocation (the LP point for ``lp`` and
+``milp``), LP solve count, LP session statistics and LP backend. Floats are written with ``repr`` and read
+back exactly. ``--compare`` prints how many leaf values are
+bitwise-identical, the largest relative change of a float value, and
+every changed non-float value (pivot counts, for instance).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEEDS = (0, 1, 2)
+EXACT_METHODS = ("bnb", "milp")
+ONLINE_FAMILIES = ("drift-heavy", "failure-storm", "churn")
+#: (method, config overrides) of the non-default LP paths
+VARIANTS = (
+    ("lprr", {"warm_start": False}),
+    ("lprr", {"lp_backend": "scipy"}),
+    ("lprg-it", {"lp_backend": "scipy"}),
+    ("bnb", {"warm_start": False}),
+)
+
+
+def _plain(value):
+    """JSON-ready copy: arrays to lists, numpy scalars to Python."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _plain(value.tolist())
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def _solve_record(report, config) -> dict:
+    meta = report.meta
+    allocation = report.allocation
+    solution = meta.get("solution")  # the LP bound's point
+    return _plain({
+        "value": report.value,
+        "alpha": None if allocation is None else allocation.alpha,
+        "beta": None if allocation is None else allocation.beta,
+        "x": None if solution is None else solution.x,
+        "n_lp_solves": report.n_lp_solves,
+        "lp_stats": meta.get("lp_stats"),
+        "lp_backend": meta.get("lp_backend", config.lp_backend),
+    })
+
+
+def dump() -> dict:
+    import repro
+    from repro import Solver, SolverConfig, build_scenario
+    from repro.experiments.config import sample_settings
+
+    out: dict = {}
+    methods = repro.available_methods()
+    for scenario, names in (
+        ("das2", methods),
+        ("table1-small", methods),
+        ("table1-medium", [m for m in methods if m not in EXACT_METHODS]),
+    ):
+        for seed in SEEDS:
+            problem = build_scenario(scenario, rng=np.random.default_rng(seed))
+            for method in names:
+                config = SolverConfig(method=method, seed=seed)
+                report = Solver(config).solve(problem)
+                out[f"solve/{scenario}/{seed}/{method}"] = _solve_record(report, config)
+            for method, overrides in VARIANTS:
+                config = SolverConfig(method=method, seed=seed, **overrides)
+                report = Solver(config).solve(problem)
+                tag = ",".join(f"{k}={v}" for k, v in sorted(overrides.items()))
+                out[f"variant/{scenario}/{seed}/{method}/{tag}"] = _solve_record(
+                    report, config
+                )
+
+    settings = sample_settings(4, rng=np.random.default_rng(2005), k_values=[4, 6])
+    tables = Solver(SolverConfig(stream=True)).sweep(
+        settings, n_platforms=2, rng=7
+    ).tables()
+    tables.pop("runtime_mean_by_k", None)
+    out["sweep/k4-6"] = _plain(tables)
+
+    for family in ONLINE_FAMILIES:
+        report = Solver(SolverConfig(seed=11)).run_online("table1-small", family)
+        out[f"online/{family}"] = _plain(report.state_dict())
+    return out
+
+
+def _leaves(value, path=""):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _leaves(value[key], f"{path}/{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def compare(a: dict, b: dict) -> int:
+    """Print the diff summary; returns the number of differing leaves."""
+    left, right = dict(_leaves(a)), dict(_leaves(b))
+    identical = worst = 0
+    worst_at = None
+    other: list = []
+    for path in sorted(set(left) | set(right)):
+        x, y = left.get(path, "<missing>"), right.get(path, "<missing>")
+        if type(x) is type(y) and json.dumps(x) == json.dumps(y):
+            identical += 1
+        elif isinstance(x, float) and isinstance(y, (int, float)):
+            rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
+            if math.isfinite(rel) and rel > worst:
+                worst, worst_at = rel, path
+        else:
+            other.append((path, x, y))
+    total = len(set(left) | set(right))
+    print(f"{identical} of {total} values bitwise-identical")
+    print(f"largest relative float change: {worst:.3g}"
+          + (f" at {worst_at}" if worst_at else ""))
+    print(f"{len(other)} non-float values changed")
+    for path, x, y in other:
+        print(f"  {path}: {x!r} -> {y!r}")
+    return total - identical
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path, help="write a dump here")
+    mode.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                      help="compare two dumps")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        compare(a, b)
+        return 0
+    args.out.write_text(json.dumps(dump(), sort_keys=True, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

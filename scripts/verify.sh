@@ -13,16 +13,17 @@
 # The warm-start smoke (bench_warmstart.py) gates the LPSession
 # subsystem: warm LPRR must match cold bitwise AND spend strictly fewer
 # (>= 30% fewer) simplex iterations, and the warm session must beat the
-# cold-HiGHS-per-solve reference at every K; it refreshes
-# BENCH_warmstart.json.
+# cold-HiGHS-per-solve reference at every K without a single HiGHS
+# fallback; it refreshes BENCH_warmstart.json.
 #
 # The simplex-core step gates the revised engine (repro/lp/revised.py +
 # repro/lp/basis_lu.py), the package's only simplex: its two engine
 # suites (machinery, and the HiGHS-checked simplex contract with its
 # numerical hazards) and the session suite run explicitly, and the
-# core smoke (bench_simplex_core.py) asserts the LU-factorized warm
-# chains beat cold HiGHS on large-K LPRR pin chains and on B&B
-# bound-flip chains; it refreshes BENCH_simplex_core.json.
+# core smoke (bench_simplex_core.py) asserts the sparse LU-factorized
+# warm chains beat cold HiGHS on LPRR pin chains up to K=20 (K=30 under
+# REPRO_FULL=1) with zero HiGHS fallbacks, and on B&B bound-flip
+# chains; it refreshes BENCH_simplex_core.json.
 #
 # The API step re-runs the public-surface snapshot + examples smoke on
 # their own (fast, loud names in the log), and the api-reuse smoke gates

@@ -11,10 +11,10 @@ The facade in three moves::
 
 :class:`SolverConfig` is the typed replacement for the historical
 string-and-``**kwargs`` funnel; :class:`Solver` owns cross-call warm
-state (LP templates, dense matrices, variable indices, the campaign
-engine) so repeated solves of related instances stop cold-starting; the
-scenario registry names platform/application scenarios the same way the
-heuristic registry names methods. The legacy entry points —
+state (LP templates, variable indices, the campaign engine) so repeated
+solves of related instances stop cold-starting; the scenario registry
+names platform/application scenarios the same way the heuristic
+registry names methods. The legacy entry points —
 ``repro.solve``, ``repro.solve_many``, ``repro.experiments.run_sweep``
 — remain as thin shims over this package with bitwise-identical output.
 """

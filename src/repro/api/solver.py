@@ -7,10 +7,8 @@ same platforms) repeats *related* instances endlessly. The facade owns
 the state that makes repetition cheap and keeps it across calls:
 
 * an :class:`~repro.lp.builder.LPBuildCache` — assembled program-(7)
-  templates keyed by platform fingerprint + objective + payoffs, plus
-  the shared densified ``A_ub`` every :class:`~repro.lp.session.
-  LPSession` draws from. Repeat solves skip the COO assembly and the
-  ``toarray()`` entirely;
+  templates keyed by platform fingerprint + objective + payoffs, so
+  repeat solves skip the COO assembly entirely;
 * a :class:`VariableIndex <repro.lp.indexing.VariableIndex>` adoption
   map — equal-but-distinct platform objects (pickled across a process
   boundary, re-loaded from disk) share one index per fingerprint;

@@ -466,8 +466,9 @@ class OnlineScheduler:
                 if self.options.check_oracle
                 else None
             )
-            self._A = self._cache.dense_matrix(instance)
         self._instance = instance
+        #: column-major copy of A_ub for the support token's forced block
+        self._columns = instance.A_ub.tocsc()
         if not hasattr(self, "_warm_totals"):
             self._warm_totals = self._session.stats.as_dict()
             self._oracle_totals = (
@@ -636,20 +637,18 @@ class OnlineScheduler:
         interior report): the caller then keeps the raw solution.
         """
         inst = self._instance
-        A = self._A
-        m, n = A.shape
+        m, n = inst.A_ub.shape
         between = np.nonzero(
             (inst.lb + _SUPPORT_TOL < x) & (x < inst.ub - _SUPPORT_TOL)
         )[0]
-        tight = np.nonzero(inst.b_ub - A @ x <= _SUPPORT_TOL)[0]
+        tight = np.nonzero(inst.b_ub - inst.A_ub @ x <= _SUPPORT_TOL)[0]
         if between.size > tight.size:
             return None
         pivoted = np.zeros(m, dtype=bool)
         if between.size:
-            perm, _, U = scipy.linalg.lu(
-                A[np.ix_(tight, between)], p_indices=True
-            )
-            scale = np.maximum(1.0, np.abs(A[:, between]).max(axis=0))
+            forced = self._columns[:, between].toarray()
+            perm, _, U = scipy.linalg.lu(forced[tight], p_indices=True)
+            scale = np.maximum(1.0, np.abs(forced).max(axis=0))
             if np.any(np.abs(np.diag(U)) <= _RANK_TOL * scale):
                 return None  # dependent forced columns: not a vertex
             pivoted[tight[perm < between.size]] = True

@@ -193,10 +193,7 @@ class LPBuildCache:
     assembly. :meth:`fetch` returns a :meth:`LPInstance.fresh_copy`, so
     callers may mutate bounds/RHS freely while the pristine template
     survives; results are therefore bitwise-identical with and without
-    the cache. The cache also memoises the densified ``A_ub`` that every
-    :class:`~repro.lp.session.LPSession` needs (keyed by the CSR object
-    all copies of a template share), so repeated sessions skip the
-    ``toarray()`` as well.
+    the cache. All copies of a template share its CSR ``A_ub``.
 
     Install with :func:`use_build_cache`; :class:`repro.api.Solver` owns
     one per instance — it is the facade's cross-call warm state. The
@@ -208,19 +205,16 @@ class LPBuildCache:
     from many threads (the :mod:`repro.service` request path hammers a
     pooled :class:`repro.api.Solver` this way). The lock guards only the
     cache's own state — the returned template *copies* are private to
-    the caller, and the shared dense matrix is read-only by contract —
-    so solves themselves still run concurrently.
+    the caller, and the shared ``A_ub`` is read-only by contract — so
+    solves themselves still run concurrently.
     """
 
     def __init__(self, max_entries: int = 64):
         self.max_entries = int(max_entries)
         self._templates: "dict[tuple, LPInstance]" = {}
-        self._dense: "dict[int, tuple]" = {}
         self._lock = threading.RLock()
         self.build_hits = 0
         self.cold_builds = 0
-        self.dense_hits = 0
-        self.dense_builds = 0
 
     # ------------------------------------------------------------------
     def key_for(
@@ -266,39 +260,11 @@ class LPBuildCache:
                 oldest = next(iter(self._templates))
                 del self._templates[oldest]
 
-    # ------------------------------------------------------------------
-    def dense_matrix(self, instance: LPInstance) -> np.ndarray:
-        """Shared dense ``A_ub`` for all copies of one template.
-
-        Keyed by the identity of the CSR matrix (which ``fresh_copy``
-        and ``with_bounds`` share); the entry keeps a strong reference
-        to the CSR so the id cannot be recycled while the cache lives.
-        Consumers only read the array, so sharing is safe.
-        """
-        with self._lock:
-            key = id(instance.A_ub)
-            entry = self._dense.get(key)
-            if entry is None or entry[0] is not instance.A_ub:
-                self.dense_builds += 1
-                entry = (
-                    instance.A_ub,
-                    np.asarray(instance.A_ub.toarray(), dtype=float),
-                )
-                self._dense[key] = entry
-                while len(self._dense) > self.max_entries:
-                    oldest = next(iter(self._dense))
-                    del self._dense[oldest]
-            else:
-                self.dense_hits += 1
-            return entry[1]
-
     def stats(self) -> dict:
         with self._lock:
             return {
                 "cold_builds": self.cold_builds,
                 "build_hits": self.build_hits,
-                "dense_builds": self.dense_builds,
-                "dense_hits": self.dense_hits,
                 "templates": len(self._templates),
             }
 

@@ -12,9 +12,12 @@ original data, with no extra rows for upper bounds:
   and a pivot that only drives the entering variable to its opposite
   bound is a bound flip (no basis change at all);
 * each iteration prices with one BTRAN and one FTRAN against the
-  LU-factorized basis (:class:`repro.lp.basis_lu.LUBasis`), so a pivot
-  costs O(m^2 + m·n) flops, and the factorization is carried across
-  pivots by product-form eta updates with periodic refactorization;
+  sparse LU-factorized basis (:class:`repro.lp.basis_lu.LUBasis`) and
+  one product with the stored transpose of ``[A | I]``
+  (:class:`repro.lp.basis_lu.ExtendedMatrix`), so a pivot costs time in
+  proportion to the nonzeros of ``A`` and of the factors, and the
+  factorization is carried across pivots by product-form eta updates
+  with periodic refactorization;
 * **primal** iterations (Dantzig pricing, Bland's rule engaged after a
   degenerate stall) solve from a primal-feasible basis; **dual**
   iterations re-solve from a dual-feasible one — the warm-start case
@@ -40,8 +43,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.lp.basis_lu import LUBasis, SingularBasisError
+from repro.lp.basis_lu import ExtendedMatrix, LUBasis, SingularBasisError
 from repro.util.errors import SolverError
 
 #: reduced-cost / pivot-eligibility tolerance
@@ -110,9 +114,9 @@ class _Program:
 
     def __init__(self, c, A, b, lb, ub, max_iter):
         self.c = c
-        self.A = A
+        self.ext = ExtendedMatrix.of(A)
         self.b = b
-        self.m, self.n = A.shape
+        self.m, self.n = self.ext.shape
         n_cols = self.n + self.m
         self.lb = np.concatenate([lb, np.zeros(self.m)])
         self.ub = np.concatenate([ub, np.full(self.m, np.inf)])
@@ -123,6 +127,10 @@ class _Program:
         self.dual_steps = 0
         self.lu: "LUBasis | None" = None
         self.vstat = np.full(n_cols, _AT_LOWER, dtype=np.int8)
+        #: last x_B / d and the state each was computed in (see
+        #: basic_solution and reduced_costs)
+        self._xb = self._xb_key = None
+        self._d = self._d_key = self._d_for = None
         # scale-aware feasibility slack: program-(7) capacities span
         # orders of magnitude, so feasibility is judged relative to the
         # data, not against an absolute epsilon
@@ -137,7 +145,7 @@ class _Program:
     def load_basis(self, basis: np.ndarray) -> bool:
         """Factorize ``basis``; False when singular."""
         try:
-            self.lu = LUBasis(self.A, basis)
+            self.lu = LUBasis(self.ext, basis)
         except SingularBasisError:
             self.lu = None
             return False
@@ -160,31 +168,45 @@ class _Program:
         return xn
 
     def basic_solution(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(x_B, x_full)`` for the current basis and nonbasic rests."""
-        xn = self.nonbasic_values()
-        rhs = self.b - self.A @ xn[: self.n] - xn[self.n :]
-        xb = self.lu.ftran(rhs)
-        x = xn
-        x[self.lu.basis] = xb
-        return xb, x
+        """``(x_B, x_full)`` for the current basis and nonbasic rests.
+
+        The solver's hand-offs (violation count -> primal loop, primal
+        loop -> face search, dual repair -> primal loop, face search ->
+        extraction) ask again for a point nothing has moved since. The
+        pair is therefore kept with the state it was computed in — the
+        factorization's identity and counters plus the bound statuses —
+        and a repeat returns it instead of recomputing the same bits.
+        Callers only read the arrays.
+        """
+        lu = self.lu
+        key = (lu, lu.n_refactor, lu.n_updates, self.vstat.tobytes())
+        if key != self._xb_key:
+            xn = self.nonbasic_values()
+            xb = lu.ftran(self.b - self.ext.cols @ xn)
+            xn[lu.basis] = xb
+            self._xb, self._xb_key = (xb, xn), key
+        return self._xb
 
     def reduced_costs(self, c_ext: np.ndarray) -> np.ndarray:
-        """``d = c_ext - y A_ext`` with ``y = B^{-T} c_B`` (basics ~ 0)."""
-        y = self.lu.btran(c_ext[self.lu.basis])
-        d = np.empty(self.n + self.m)
-        d[: self.n] = c_ext[: self.n] - y @ self.A
-        d[self.n :] = c_ext[self.n :] - y
-        return d
+        """``d = c_ext - y [A | I]`` with ``y = B^{-T} c_B`` (basics ~ 0).
+
+        Kept like :meth:`basic_solution`: ``d`` depends on the basis and
+        on ``c_ext`` only, so a repeat for the same objective array
+        under an unchanged factorization returns the last one.
+        """
+        lu = self.lu
+        key = (lu, lu.n_refactor, lu.n_updates)
+        if c_ext is not self._d_for or key != self._d_key:
+            y = lu.btran(c_ext[lu.basis])
+            self._d = c_ext - self.ext.rows @ y
+            self._d_for, self._d_key = c_ext, key
+        return self._d
 
     def pivot_row_values(self, r: int) -> np.ndarray:
         """Row ``r`` of ``B^{-1} [A | I]`` (the dual pricing row)."""
         e = np.zeros(self.m)
         e[r] = 1.0
-        rho = self.lu.btran(e)
-        alpha = np.empty(self.n + self.m)
-        alpha[: self.n] = rho @ self.A
-        alpha[self.n :] = rho
-        return alpha
+        return self.ext.rows @ self.lu.btran(e)
 
 
 def _primal_loop(
@@ -506,10 +528,9 @@ def _primal_feasible(p: _Program) -> bool:
     return _count_primal_violations(p) == 0
 
 
-def _count_primal_violations(p: _Program, xb: "np.ndarray | None" = None) -> int:
+def _count_primal_violations(p: _Program) -> int:
     """How many basic variables sit outside their bounds."""
-    if xb is None:
-        xb, _ = p.basic_solution()
+    xb, _ = p.basic_solution()
     lb_b = p.lb[p.lu.basis]
     ub_b = p.ub[p.lu.basis]
     viol = lb_b - xb > p.feas_tol
@@ -519,7 +540,7 @@ def _count_primal_violations(p: _Program, xb: "np.ndarray | None" = None) -> int
 
 
 def read_vertex(
-    A: np.ndarray,
+    A: "np.ndarray | sp.spmatrix | ExtendedMatrix",
     b: np.ndarray,
     bounds: "tuple[np.ndarray, np.ndarray]",
     basis: np.ndarray,
@@ -542,10 +563,9 @@ def read_vertex(
         return None
     up = np.asarray(at_upper, dtype=bool) & (p.vstat != _BASIC)
     p.vstat[up & np.isfinite(p.ub)] = _AT_UPPER
-    xb, x = p.basic_solution()
-    if _count_primal_violations(p, xb):
+    if _count_primal_violations(p):
         return None
-    return x[: p.n]
+    return p.basic_solution()[1][: p.n]
 
 
 def _dual_feasible(p: _Program) -> bool:
@@ -560,7 +580,7 @@ def _dual_feasible(p: _Program) -> bool:
 
 def revised_solve(
     c: Sequence[float],
-    A_ub: "np.ndarray | Sequence[Sequence[float]]",
+    A_ub: "np.ndarray | sp.spmatrix | ExtendedMatrix | Sequence[Sequence[float]]",
     b_ub: Sequence[float],
     bounds: "Sequence[tuple[float, float]] | tuple[np.ndarray, np.ndarray] | None" = None,
     max_iter: int = 100_000,
@@ -573,6 +593,11 @@ def revised_solve(
 
     Parameters
     ----------
+    A_ub:
+        Dense, scipy sparse, or an :class:`~repro.lp.basis_lu.
+        ExtendedMatrix` — the form a caller re-solving one matrix many
+        times (:class:`~repro.lp.session.LPSession`) builds once and
+        passes every time. Any other form is converted per call.
     bounds:
         Per-variable ``(lb, ub)``; ``None`` means ``(0, inf)`` for all.
         A pair of ndarrays ``(lb, ub)`` is accepted directly. Lower
@@ -590,7 +615,7 @@ def revised_solve(
     initial_lu:
         The ``lu`` of the previous :class:`RevisedResult`. When it still
         factorizes exactly ``initial_basis`` over the same ``A_ub``
-        array, the load-time refactorization is skipped — a zero-pivot
+        object, the load-time refactorization is skipped — a zero-pivot
         warm re-solve then costs only FTRAN/BTRAN passes. Ignored when
         it does not match (the basis is factorized from scratch).
     canon_weights:
@@ -602,9 +627,12 @@ def revised_solve(
         solves of the same program report the same vertex.
     """
     c = np.asarray(c, dtype=float)
-    A = np.asarray(A_ub, dtype=float)
-    if A.ndim != 2:
-        raise SolverError(f"A_ub must be 2-D, got shape {A.shape}")
+    if isinstance(A_ub, ExtendedMatrix) or sp.issparse(A_ub):
+        A = A_ub
+    else:
+        A = np.asarray(A_ub, dtype=float)
+        if A.ndim != 2:
+            raise SolverError(f"A_ub must be 2-D, got shape {A.shape}")
     b = np.asarray(b_ub, dtype=float)
     n = c.shape[0]
     if A.shape[1] != n or A.shape[0] != b.shape[0]:

@@ -42,7 +42,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.lp.builder import LPInstance, active_build_cache
+from repro.lp.basis_lu import ExtendedMatrix
+from repro.lp.builder import LPInstance
 from repro.lp.revised import read_vertex, revised_solve
 from repro.obs.trace import current_tracer
 from repro.lp.scipy_backend import solve_lp_scipy
@@ -194,13 +195,9 @@ class LPSession:
         self.max_iter = int(max_iter)
         self.canon = canon
         self.stats = SessionStats()
-        # Inside a repro.api.Solver the build cache shares one read-only
-        # dense matrix across every session on the same template.
-        cache = active_build_cache()
-        if cache is not None:
-            self._A = cache.dense_matrix(instance)
-        else:
-            self._A = np.asarray(instance.A_ub.toarray(), dtype=float)
+        #: ``[A | I]`` in CSC form with its stored transpose, built once:
+        #: every solve gathers its basis columns and prices against it
+        self._A = ExtendedMatrix(instance.A_ub)
         #: original bounds of currently pinned variables, snapshotted at
         #: *first* fix time so fail -> fail -> recover sequences restore
         #: the true pre-pin box (first-pin-wins)
@@ -361,7 +358,7 @@ class LPSession:
         if warm_basis is not None:
             init, init_up = self._basis_arrays(warm_basis, n, m)
         # Release the carried factorization before solving: a cold solve
-        # must not hold a dense LU it never reads while building its own.
+        # must not hold an LU it never reads while building its own.
         lu, self._lu = (self._lu if init is not None else None), None
         res = revised_solve(
             inst.obj,

@@ -519,9 +519,23 @@ class CampaignEngine:
                         (i, task_ids[i], attempts[i] + 1, tasks[i])
                         for i in chunk
                     ]
-                    future = pool.submit(
-                        _run_chunk, self.worker, entries, self.fault_plan
-                    )
+                    try:
+                        future = pool.submit(
+                            _run_chunk, self.worker, entries, self.fault_plan
+                        )
+                    except BrokenProcessPool:
+                        # A worker died since the last completed chunk and
+                        # the pool refuses new work. This chunk never ran:
+                        # put it back. The dead pool's in-flight futures
+                        # fail below, where the broken-future path
+                        # rebuilds the pool and isolates their chunks;
+                        # with none in flight, rebuild it here.
+                        queue.insert(0, chunk)
+                        if futures:
+                            break
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        pool = ProcessPoolExecutor(max_workers=self.jobs)
+                        continue
                     futures[future] = chunk
                     submitted[future] = time.perf_counter()
                     if task_timeout is not None:

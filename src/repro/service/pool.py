@@ -2,9 +2,9 @@
 
 The whole point of a resident service is that the second request from a
 platform is cheaper than the first: the facade's
-:class:`~repro.api.solver.SolverState` holds the LP template cache, the
-dense-matrix memo and the variable-index adoption map, all keyed by
-platform fingerprint. The pool keeps one warm ``Solver`` per
+:class:`~repro.api.solver.SolverState` holds the LP template cache and
+the variable-index adoption map, both keyed by platform fingerprint.
+The pool keeps one warm ``Solver`` per
 
     (platform fingerprint, config fingerprint)
 

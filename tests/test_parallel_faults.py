@@ -82,6 +82,48 @@ class TestEngineFaults:
         assert engine.run(tasks) == [1, 4, 9, 16, 25, 36]
         assert os.path.exists(flag)  # it really did die once
 
+    def test_crash_seen_at_submit_time_recovers(self, monkeypatch):
+        """A worker death first noticed by ``submit`` (the pool refuses
+        new work while the dead worker's chunk is still in flight) is
+        retried like a broken future, not raised out of ``run``."""
+        import repro.parallel.engine as engine_mod
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        pools = []
+
+        class BreakingExecutor:
+            """Runs chunks inline. In the first pool the worker running
+            chunk 2 dies: that future stays pending until the third
+            submit notices the break, fails it and raises."""
+
+            def __init__(self, max_workers):
+                self.first = not pools
+                self.submits = 0
+                self.dying = None
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.submits += 1
+                if self.dying is not None:
+                    self.dying.set_exception(BrokenProcessPool("worker died"))
+                    raise BrokenProcessPool("worker died")
+                future = Future()
+                if self.first and self.submits == 2:
+                    self.dying = future
+                else:
+                    future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", BreakingExecutor)
+        engine = CampaignEngine(_square, jobs=2, chunk_size=1,
+                                max_task_retries=1)
+        assert engine.run([1, 2, 3, 4, 5, 6]) == [1, 4, 9, 16, 25, 36]
+        assert len(pools) == 2  # the dead pool was replaced once
+
     def test_jobs_one_uses_no_process_pool(self, monkeypatch):
         import repro.parallel.engine as engine_mod
 
