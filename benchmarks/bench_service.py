@@ -6,7 +6,9 @@ gates, each a claim the README makes about ``repro.service``:
 
 * **warm reuse** — a storm of same-platform ``POST /solve`` requests
   must hit the resident pool (and its LP template cache) on >= 95% of
-  requests; the responses stay bitwise-identical to the cold reference;
+  requests, and costs exactly one HiGHS solve: every later request's
+  relaxation is a hit in the solver's memo of HiGHS optima; the
+  responses stay bitwise-identical to the cold reference;
 * **load** — >= 1000 sweep jobs held in-flight concurrently, then all
   released, all running to ``done`` (none failed, none lost);
 * **stream fidelity** — rows streamed over ``/jobs/{id}/stream`` fold
@@ -109,6 +111,8 @@ def test_warm_reuse_storm():
         print(f"LP builds:       {totals['build_hits']} template hits / "
               f"{totals['cold_builds']} cold "
               f"({100 * build_hit_rate:.1f}% warm)")
+        print(f"HiGHS memo:      {totals['solution_hits']} hits / "
+              f"{n_requests + 1} LPRG relaxations")
         print(f"coalescer:       {stats['coalescer']['batches']} batches for "
               f"{stats['coalescer']['coalesced_requests']} requests "
               f"(largest {stats['coalescer']['largest_batch']})")
@@ -121,6 +125,12 @@ def test_warm_reuse_storm():
             f"LP build hit rate {build_hit_rate:.1%} under the "
             f"{MIN_WARM_HIT_RATE:.0%} gate"
         )
+        # work count: the cold reference solved the one relaxation; each
+        # storm request's LPRG relaxation is the same LP, a memo hit
+        assert totals["solution_hits"] == n_requests, (
+            f"{totals['solution_hits']} HiGHS memo hits for {n_requests} "
+            "repeat requests: some re-solved an LP already solved"
+        )
 
         _RESULTS["warm_reuse"] = {
             "n_requests": n_requests + 1,
@@ -129,6 +139,8 @@ def test_warm_reuse_storm():
             "requests_per_second": n_requests / elapsed,
             "pool_hit_rate": hit_rate,
             "lp_build_hit_rate": build_hit_rate,
+            "solution_hits": totals["solution_hits"],
+            "batches": stats["coalescer"]["batches"],
             "pool": pool_stats,
             "coalescer": stats["coalescer"],
             "gate_min_hit_rate": MIN_WARM_HIT_RATE,

@@ -60,8 +60,8 @@
 # The service step gates the resident-solver HTTP layer
 # (repro/service/): the jobstore, coalescer and end-to-end app suites
 # run explicitly, and the service smoke (bench_service.py) asserts a
-# same-platform request storm is served >= 95% from warm solvers,
-# >= 1000 sweep jobs held in flight all drain to done, and streamed
+# same-platform request storm is served >= 95% from warm solvers at
+# the cost of exactly one HiGHS solve, >= 1000 sweep jobs held in flight all drain to done, and streamed
 # rows fold client-side bitwise into the serial jobs=1 reference; it
 # refreshes BENCH_service.json.
 #

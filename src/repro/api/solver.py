@@ -8,7 +8,10 @@ the state that makes repetition cheap and keeps it across calls:
 
 * an :class:`~repro.lp.builder.LPBuildCache` — assembled program-(7)
   templates keyed by platform fingerprint + objective + payoffs, so
-  repeat solves skip the COO assembly entirely;
+  repeat solves skip the COO assembly entirely, plus a bounded memo of
+  HiGHS optima keyed by the instance's content digest, so a relaxation
+  solved once (a repeat request's LPRG relaxation; the LP bound, LPR
+  and LPRG of one sweep task) is not handed to HiGHS again;
 * a :class:`VariableIndex <repro.lp.indexing.VariableIndex>` adoption
   map — equal-but-distinct platform objects (pickled across a process
   boundary, re-loaded from disk) share one index per fingerprint;
@@ -16,10 +19,13 @@ the state that makes repetition cheap and keeps it across calls:
   batched and swept execution under the config's ``jobs``.
 
 Reuse is **bitwise-transparent**: cached templates are pristine copies
-of what a cold build produces, and no optimal-basis state is ever
-carried between independent solves, so ``Solver(cfg).solve(p)`` equals
-the legacy ``solve(p, ...)`` byte for byte (pinned by the equivalence
-suite and by ``benchmarks/bench_api_reuse.py``).
+of what a cold build produces, a memoized optimum is a copy of what
+HiGHS returned for the identical instance (HiGHS is deterministic on
+identical input), and no simplex basis is ever carried between
+independent solves, so ``Solver(cfg).solve(p)`` equals the legacy
+``solve(p, ...)`` byte for byte (pinned by the equivalence suite, by
+``tests/test_lp_builder.py::TestSolutionMemo`` and by
+``benchmarks/bench_api_reuse.py``).
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ class SolverState:
     """Cross-call warm state owned by one :class:`Solver`.
 
     Nothing here affects results — only how much work a repeat solve
-    re-does. The LP cache is installed around every solve via
+    re-does. The LP cache (templates and memoized HiGHS optima) is
+    installed around every solve via
     :func:`repro.lp.builder.use_build_cache` (outer-wins, so nested
     facade calls inside a batch share the batch's cache).
 

@@ -464,6 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the resident solver service (repro.service) on the "
         "bundled zero-dependency HTTP bridge",
+        description="Run the resident solver service. A solve request "
+        "for an idle (platform, config) key runs at once on a coalescer "
+        "worker; requests for that key arriving meanwhile queue and run "
+        "as the next solve_many batch as soon as it ends. Each pooled "
+        "warm solver keeps its LP templates and a memo of HiGHS optima, "
+        "so a relaxation it has solved before is not solved again.",
     )
     psv.add_argument("--host", default="127.0.0.1")
     psv.add_argument("--port", type=int, default=8175)
@@ -487,14 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         metavar="N",
         help="warm Solver instances kept in the LRU pool",
-    )
-    psv.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="how long a solve request waits for batchable company "
-        "before its solve_many batch dispatches",
     )
     psv.add_argument(
         "--quiet", action="store_true", help="suppress per-request logging"
@@ -636,7 +634,6 @@ def main(argv: "list[str] | None" = None) -> int:
             job_store=args.job_store,
             max_solvers=args.max_solvers,
             max_workers=args.workers,
-            coalesce_window=args.coalesce_window,
         )
         run_server(app, host=args.host, port=args.port, verbose=not args.quiet)
         return 0

@@ -15,7 +15,9 @@ so assembly stays O(non-zeros) even for large ``K``.
 
 from __future__ import annotations
 
+import hashlib
 import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -200,21 +202,37 @@ class LPBuildCache:
     counters feed ``benchmarks/bench_api_reuse.py``: ``cold_builds``
     counts actual assemblies, ``build_hits`` the assemblies avoided.
 
+    Beside the templates sits a memo of HiGHS optima: a bounded LRU
+    (``max_entries`` like the template store) from
+    :meth:`solution_key` — a blake2b digest of everything HiGHS reads
+    from an instance — to the optimal ``x`` and value.
+    :func:`repro.lp.scipy_backend.solve_lp_scipy` consults it whenever a
+    cache is active, so a relaxation solved once (LPRG's single LP for
+    a pooled service platform; the LP bound, LPR and LPRG of one sweep
+    task) is not solved again. HiGHS is deterministic on identical
+    input, so a hit is bitwise what a fresh solve returns; the memo
+    keeps a private copy of ``x`` and hands out copies, and errors are
+    never memoized. ``solution_hits`` counts the solves avoided.
+
     Thread safety: every lookup/insert/counter mutation holds an
     internal re-entrant lock, so one cache may back concurrent solves
     from many threads (the :mod:`repro.service` request path hammers a
     pooled :class:`repro.api.Solver` this way). The lock guards only the
-    cache's own state — the returned template *copies* are private to
-    the caller, and the shared ``A_ub`` is read-only by contract — so
-    solves themselves still run concurrently.
+    cache's own state — the returned template and solution *copies* are
+    private to the caller, and the shared ``A_ub`` is read-only by
+    contract — so solves themselves still run concurrently.
     """
 
     def __init__(self, max_entries: int = 64):
         self.max_entries = int(max_entries)
         self._templates: "dict[tuple, LPInstance]" = {}
+        self._solutions: "OrderedDict[bytes, tuple[np.ndarray, float]]" = (
+            OrderedDict()
+        )
         self._lock = threading.RLock()
         self.build_hits = 0
         self.cold_builds = 0
+        self.solution_hits = 0
 
     # ------------------------------------------------------------------
     def key_for(
@@ -260,12 +278,55 @@ class LPBuildCache:
                 oldest = next(iter(self._templates))
                 del self._templates[oldest]
 
+    # ------------------------------------------------------------------
+    @staticmethod
+    def solution_key(instance: LPInstance) -> bytes:
+        """Digest of the instance's full content, the memo key.
+
+        Covers ``A_ub`` (shape, indptr, indices, data) plus ``obj``,
+        ``b_ub``, ``lb`` and ``ub``, each with its dtype and length, so
+        two instances share a key only when HiGHS would read the same
+        program from them.
+        """
+        A = instance.A_ub
+        arrays = (
+            A.indptr, A.indices, A.data,
+            instance.obj, instance.b_ub, instance.lb, instance.ub,
+        )
+        layout = [A.shape] + [(a.dtype.str, a.shape) for a in arrays]
+        digest = hashlib.blake2b(repr(layout).encode(), digest_size=20)
+        for array in arrays:
+            digest.update(np.ascontiguousarray(array))
+        return digest.digest()
+
+    def fetch_solution(self, key: bytes) -> "tuple[np.ndarray, float] | None":
+        """A copy of the memoized ``(x, value)`` for ``key``, if any."""
+        with self._lock:
+            found = self._solutions.get(key)
+            if found is None:
+                return None
+            self._solutions.move_to_end(key)
+            self.solution_hits += 1
+        x, value = found
+        return x.copy(), value
+
+    def store_solution(self, key: bytes, x: np.ndarray, value: float) -> None:
+        """Memoize a private copy of an optimum (least recently used
+        entries go first once ``max_entries`` are held)."""
+        with self._lock:
+            self._solutions[key] = (np.array(x, dtype=float), float(value))
+            self._solutions.move_to_end(key)
+            while len(self._solutions) > self.max_entries:
+                self._solutions.popitem(last=False)
+
     def stats(self) -> dict:
         with self._lock:
             return {
                 "cold_builds": self.cold_builds,
                 "build_hits": self.build_hits,
                 "templates": len(self._templates),
+                "solution_hits": self.solution_hits,
+                "solutions": len(self._solutions),
             }
 
 

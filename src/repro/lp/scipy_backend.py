@@ -2,6 +2,9 @@
 
 This is the production solver; the paper used the ``lp_solve`` Simplex
 package, for which :mod:`repro.lp.revised` is the in-repo stand-in.
+Under an active :class:`~repro.lp.builder.LPBuildCache` each optimum is
+memoized by the instance's content digest, so an identical instance is
+answered from the memo instead of HiGHS.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.lp.builder import LPInstance
+from repro.lp.builder import LPInstance, active_build_cache
 from repro.lp.solution import LPSolution
 from repro.util.errors import InfeasibleError, SolverError, UnboundedError
 
@@ -22,11 +25,23 @@ _STATUS_UNBOUNDED = 3
 def solve_lp_scipy(instance: LPInstance) -> LPSolution:
     """Solve ``maximize obj @ x s.t. A_ub x <= b_ub, lb <= x <= ub``.
 
+    With a build cache active (every :class:`repro.api.Solver` call
+    installs its own), an instance whose content was solved before is a
+    memo hit: the same ``x`` (a fresh copy) and value, bitwise, without
+    calling HiGHS. Failed solves are never memoized.
+
     Raises
     ------
     InfeasibleError / UnboundedError / SolverError
         Mapped from the HiGHS status codes.
     """
+    cache = active_build_cache()
+    if cache is not None:
+        key = cache.solution_key(instance)
+        memo = cache.fetch_solution(key)
+        if memo is not None:
+            x, value = memo
+            return LPSolution(x=x, value=value, index=instance.index)
     result = linprog(
         c=-instance.obj,  # linprog minimises
         A_ub=instance.A_ub,
@@ -43,4 +58,7 @@ def solve_lp_scipy(instance: LPInstance) -> LPSolution:
             f"LP solver failed (status {result.status}): {result.message}"
         )
     x = np.asarray(result.x, dtype=float)
-    return LPSolution(x=x, value=float(-result.fun), index=instance.index)
+    value = float(-result.fun)
+    if cache is not None:
+        cache.store_solution(key, x, value)
+    return LPSolution(x=x, value=value, index=instance.index)

@@ -12,8 +12,9 @@ snapshot in a small *sidecar* file (``<path>.state``, atomically
 replaced on every :meth:`save_state`) — only the latest snapshot is
 ever useful, so the sidecar stays O(accumulator) however long the
 campaign runs, instead of growing the main file with superseded
-records. Legacy in-file ``{"kind": "state", ...}`` records are still
-understood on load (the sidecar wins when both exist).
+records. The main file holds only the header and task records; any
+other record kind (an in-file ``{"kind": "state"}`` snapshot included)
+is refused on load with its file and line.
 
 Records are flushed as they are written, so a sweep killed mid-flight
 loses at most the in-progress tasks; re-running with ``resume=True``
@@ -226,13 +227,6 @@ class CampaignCheckpoint:
                         stacklevel=3,
                     )
                     break
-            elif kind == "state":
-                if header is None:
-                    raise CheckpointError(
-                        f"{self.path}:{lineno}: state record before the "
-                        "campaign header"
-                    )
-                self.saved_state = record.get("state")
             else:
                 raise CheckpointError(
                     f"{self.path}:{lineno}: unknown record kind {kind!r}"
@@ -244,7 +238,7 @@ class CampaignCheckpoint:
         self._drop_prefolded_payloads()
 
     def _load_state_sidecar(self) -> None:
-        """Read the snapshot sidecar (newer than any in-file record)."""
+        """Read the snapshot sidecar, the only home of snapshots."""
         if not self.state_path.exists():
             return
         try:

@@ -30,6 +30,16 @@ The response is bitwise the report of::
 independent of how many concurrent requests were coalesced into one
 ``solve_many`` batch (the facade's explicit-seeds contract).
 
+Dispatch is leader/follower: a solve for an idle pool key runs at once
+on a coalescer worker, and requests for that key arriving meanwhile
+form the next batch as soon as it ends — no request waits out a timer.
+The pooled solver's :class:`~repro.lp.builder.LPBuildCache` holds both
+the assembled LP templates and a memo of HiGHS optima, so a repeat
+request for a platform skips the COO assembly and, when its relaxation
+was solved before (LPRG's single LP always is), the HiGHS solve too;
+``GET /stats`` shows both as ``build_hits`` and ``solution_hits`` under
+``pool.solver_totals``.
+
 ``POST /sweep`` body::
 
     {"settings": [{"K": 5, ...}, ...]   # explicit grid points, or:
@@ -152,7 +162,6 @@ class SolverService:
         job_store: "JobStore | str | None" = None,
         max_solvers: int = 32,
         max_workers: int = 8,
-        coalesce_window: float = 0.005,
         max_coalesce_batch: int = 64,
     ):
         if isinstance(job_store, JobStore):
@@ -165,9 +174,7 @@ class SolverService:
         self.metrics = MetricsRegistry()
         self.pool = SolverPool(max_solvers=max_solvers, metrics=self.metrics)
         self.coalescer = RequestCoalescer(
-            max_delay=coalesce_window,
-            max_batch=max_coalesce_batch,
-            metrics=self.metrics,
+            max_batch=max_coalesce_batch, metrics=self.metrics
         )
         self._solves_counter = self.metrics.counter(
             "repro_solves_total",
@@ -590,6 +597,7 @@ class SolverService:
             return
         self._closed = True
         self.executor.shutdown(wait=True)
+        self.coalescer.close()
         self.jobs.close()
 
 

@@ -14,34 +14,31 @@ is therefore invisible in the responses — any interleaving of requests
 produces byte-identical reports to unbatched execution, which is the
 Hypothesis property in ``tests/test_service_coalescer.py``.
 
-Mechanics: requests land in a per-key bucket; the first request of a
-bucket starts a dispatcher thread that waits up to ``max_delay``
-seconds (or until ``max_batch`` requests pile up), then atomically
-claims the bucket and runs one ``solve_many``. Each caller holds a
+Mechanics (leader/follower, no timer): a request for an idle key
+*leads* — it hands the key to a worker of the coalescer's small thread
+pool, which runs a ``solve_many`` batch at once. Requests that arrive
+while the key's batch runs *follow*: they queue, and as soon as the
+running batch ends the same worker claims up to ``max_batch`` of them
+as the next batch, until the queue is empty and the key is idle again.
+So one key has at most one batch running, batching happens exactly
+when requests contend, and a lone request never waits for company.
+``submit`` never blocks: each caller holds a
 :class:`concurrent.futures.Future` resolved with its own report.
 
 Batch counters are :class:`repro.obs.metrics.Counter` instances (plus a
 batch-size :class:`~repro.obs.metrics.Histogram`) registered in the
 owning service's metrics registry, so they are cumulative, race-free
-under concurrent dispatchers, and exported by ``GET /metrics``.
+under concurrent workers, and exported by ``GET /metrics``.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future
-from typing import Hashable, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Hashable
 
 from repro.api.solver import Solver
 from repro.obs.metrics import MetricsRegistry
-
-
-class _Bucket:
-    __slots__ = ("entries", "wake")
-
-    def __init__(self):
-        self.entries: list = []  # (problem, seed, Future)
-        self.wake = threading.Event()
 
 
 class RequestCoalescer:
@@ -49,18 +46,17 @@ class RequestCoalescer:
 
     def __init__(
         self,
-        max_delay: float = 0.005,
         max_batch: int = 64,
         metrics: "MetricsRegistry | None" = None,
     ):
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.max_delay = float(max_delay)
         self.max_batch = int(max_batch)
-        self._buckets: "dict[Hashable, _Bucket]" = {}
+        #: key -> requests waiting for its next batch; a key is present
+        #: from its leader's submit until its last batch ends
+        self._queues: "dict[Hashable, list]" = {}
         self._lock = threading.Lock()
+        self._workers = ThreadPoolExecutor(thread_name_prefix="repro-coalesce")
         registry = metrics if metrics is not None else MetricsRegistry()
         self.metrics = registry
         self.batches = registry.counter(
@@ -94,53 +90,59 @@ class RequestCoalescer:
         """Enqueue one solve; the future resolves to its SolveReport.
 
         ``key`` must imply the solver: all requests sharing a key are
-        executed on the one ``solver`` of the bucket's first request —
-        the pool's ``(fingerprint, config-hash)`` key has exactly that
-        property.
+        executed on the leader's ``solver`` — the pool's
+        ``(fingerprint, config-hash)`` key has exactly that property.
         """
         future: "Future" = Future()
         with self._lock:
-            bucket = self._buckets.get(key)
-            fresh = bucket is None
-            if fresh:
-                bucket = self._buckets[key] = _Bucket()
-            bucket.entries.append((problem, seed, future))
-            if len(bucket.entries) >= self.max_batch:
-                bucket.wake.set()
-        if fresh:
-            threading.Thread(
-                target=self._dispatch,
-                args=(key, bucket, solver),
-                name=f"coalesce-{key}",
-                daemon=True,
-            ).start()
+            queue = self._queues.get(key)
+            leads = queue is None
+            if leads:
+                queue = self._queues[key] = []
+            queue.append((problem, seed, future))
+        if leads:
+            self._workers.submit(self._drain, key, solver)
         return future
 
     # ------------------------------------------------------------------
-    def _claim(self, key: Hashable, bucket: _Bucket) -> Sequence:
-        """Atomically detach the bucket; later submits start a new one."""
-        with self._lock:
-            if self._buckets.get(key) is bucket:
-                del self._buckets[key]
-            return list(bucket.entries)
+    def _drain(self, key: Hashable, solver: Solver) -> None:
+        """Run the key's batches back to back until none wait.
 
-    def _dispatch(self, key: Hashable, bucket: _Bucket, solver: Solver) -> None:
-        bucket.wake.wait(self.max_delay)
-        entries = self._claim(key, bucket)
-        problems = [problem for problem, _, _ in entries]
-        seeds = [seed for _, seed, _ in entries]
-        try:
-            reports = solver.solve_many(problems, seeds=seeds)
-        except BaseException as exc:  # one bad batch fails all its callers
-            for _, _, future in entries:
-                future.set_exception(exc)
-            return
-        self.batches.inc()
-        self.coalesced_requests.inc(len(entries))
-        self.batch_size.observe(len(entries))
-        self._largest_batch.set_max(len(entries))
-        for (_, _, future), report in zip(entries, reports):
-            future.set_result(report)
+        The key is released *before* the last batch's futures resolve,
+        so a caller holding its report never sees its key still pending.
+        """
+        more = True
+        while more:
+            with self._lock:
+                queue = self._queues[key]
+                batch = queue[: self.max_batch]
+                del queue[: self.max_batch]
+            try:
+                reports = solver.solve_many(
+                    [problem for problem, _, _ in batch],
+                    seeds=[seed for _, seed, _ in batch],
+                )
+                error = None
+            except Exception as exc:  # one bad batch fails its callers
+                error = exc
+            with self._lock:
+                more = bool(queue)
+                if not more:
+                    del self._queues[key]
+            if error is not None:
+                for _, _, future in batch:
+                    future.set_exception(error)
+                continue
+            self.batches.inc()
+            self.coalesced_requests.inc(len(batch))
+            self.batch_size.observe(len(batch))
+            self._largest_batch.set_max(len(batch))
+            for (_, _, future), report in zip(batch, reports):
+                future.set_result(report)
+
+    def close(self) -> None:
+        """Stop the workers once every queued batch has run."""
+        self._workers.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     @property
@@ -149,7 +151,7 @@ class RequestCoalescer:
 
     def stats(self) -> dict:
         with self._lock:
-            pending = len(self._buckets)
+            pending = len(self._queues)
         return {
             "batches": self.batches.value,
             "coalesced_requests": self.coalesced_requests.value,

@@ -1,10 +1,18 @@
 """Tests for repro.lp.indexing and repro.lp.builder."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro import SteadyStateProblem, line_platform, star_platform
-from repro.lp.builder import build_lp
+from repro import (
+    Solver,
+    SolverConfig,
+    SteadyStateProblem,
+    line_platform,
+    star_platform,
+)
+from repro.lp.builder import LPBuildCache, build_lp, use_build_cache
 from repro.lp.indexing import VariableIndex
 from repro.lp.scipy_backend import solve_lp_scipy
 
@@ -152,3 +160,114 @@ class TestLPValuesOnKnownPlatforms:
         problem = SteadyStateProblem(line3, objective="sum")
         sol = solve_lp_scipy(build_lp(problem))
         assert sol.value == pytest.approx(300.0)
+
+
+def _report_bytes(report) -> str:
+    """A report's JSON minus the two fields that describe the run, not
+    the answer (wall clock and the solver's cache counters)."""
+    data = report.to_dict()
+    del data["runtime"], data["cache_stats"]
+    return json.dumps(data, sort_keys=True)
+
+
+class TestSolutionMemo:
+    """The HiGHS-optimum memo beside the template cache."""
+
+    def test_repeat_solve_is_a_bitwise_memo_hit(self, problem_factory):
+        problem = problem_factory(3)
+        solver = Solver(SolverConfig(method="lprg"))
+        first = solver.solve(problem, rng=1)
+        assert first.cache_stats["solution_hits"] == 0
+        again = solver.solve(problem, rng=1)
+        assert again.cache_stats["solution_hits"] == 1
+        fresh = Solver(SolverConfig(method="lprg")).solve(problem, rng=1)
+        assert _report_bytes(again) == _report_bytes(first)
+        assert _report_bytes(again) == _report_bytes(fresh)
+        assert again.allocation.alpha.tobytes() == fresh.allocation.alpha.tobytes()
+
+        # the memoized optimum is what a cache-less HiGHS solve returns
+        reference = solve_lp_scipy(build_lp(problem))
+        with use_build_cache(solver.state.lp_cache):
+            instance = build_lp(problem)
+            memo = solve_lp_scipy(instance)
+        assert solver.state.lp_cache.solution_hits == 2
+        assert memo.x.tobytes() == reference.x.tobytes()
+        assert memo.value == reference.value
+        assert memo.index is instance.index
+
+    def test_mutating_a_returned_x_does_not_reach_the_next_hit(self, line3):
+        instance = build_lp(SteadyStateProblem(line3))
+        cache = LPBuildCache()
+        with use_build_cache(cache):
+            solved = solve_lp_scipy(instance)
+            pristine = solved.x.copy()
+            solved.x[:] = -1.0
+            hit = solve_lp_scipy(instance)
+            assert hit.x.tobytes() == pristine.tobytes()
+            hit.x[:] = -2.0
+            assert solve_lp_scipy(instance).x.tobytes() == pristine.tobytes()
+        assert cache.solution_hits == 2
+
+    @pytest.mark.parametrize("field", ["lb", "ub", "b_ub", "obj"])
+    def test_one_changed_entry_misses(self, line3, field):
+        instance = build_lp(SteadyStateProblem(line3, objective="sum"))
+        cache = LPBuildCache()
+        with use_build_cache(cache):
+            solve_lp_scipy(instance)
+            changed = instance.fresh_copy()
+            array = getattr(changed, field)
+            array[-1] = array[-1] + 0.5 if np.isfinite(array[-1]) else 7.0
+            assert cache.solution_key(changed) != cache.solution_key(instance)
+            solve_lp_scipy(changed)
+            assert cache.solution_hits == 0
+            solve_lp_scipy(instance)
+        assert cache.stats()["solution_hits"] == 1
+        assert cache.stats()["solutions"] == 2
+
+    def test_lru_bound_holds(self, line3):
+        instance = build_lp(SteadyStateProblem(line3, objective="sum"))
+        cache = LPBuildCache(max_entries=3)
+        variants = []
+        for i in range(5):
+            variant = instance.fresh_copy()
+            variant.b_ub[0] = 50.0 + i
+            variants.append(variant)
+        with use_build_cache(cache):
+            for variant in variants[:3]:
+                solve_lp_scipy(variant)
+            solve_lp_scipy(variants[0])  # now the most recently used
+            for variant in variants[3:]:
+                solve_lp_scipy(variant)
+            assert cache.stats()["solutions"] == 3
+            assert cache.solution_hits == 1
+            solve_lp_scipy(variants[0])  # survived: it was used last
+            assert cache.solution_hits == 2
+            solve_lp_scipy(variants[1])  # evicted first
+            assert cache.solution_hits == 2
+        assert cache.stats()["solutions"] == 3
+
+    def test_nothing_is_memoized_without_an_active_cache(self, line3):
+        cache = LPBuildCache()
+        instance = build_lp(SteadyStateProblem(line3))
+        first = solve_lp_scipy(instance)
+        second = solve_lp_scipy(instance)
+        assert first.x is not second.x
+        assert first.x.tobytes() == second.x.tobytes()
+        assert cache.stats()["solutions"] == 0
+        with use_build_cache(cache):
+            solve_lp_scipy(instance)
+        assert cache.stats()["solutions"] == 1 and cache.solution_hits == 0
+
+    def test_a_failed_solve_is_not_memoized(self, line3):
+        from repro.util.errors import InfeasibleError
+
+        instance = build_lp(SteadyStateProblem(line3))
+        lb = instance.lb.copy()
+        lb[0] = 1e9  # alpha[0] alone exceeds every capacity
+        infeasible = instance.with_bounds(lb, instance.ub)
+        cache = LPBuildCache()
+        with use_build_cache(cache):
+            for _ in range(2):
+                with pytest.raises(InfeasibleError):
+                    solve_lp_scipy(infeasible)
+        assert cache.stats()["solutions"] == 0 and cache.solution_hits == 0

@@ -5,6 +5,7 @@ the ``jobs=1`` inline path behaving exactly like the old serial runner.
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -281,6 +282,49 @@ class TestCheckpoint:
         # ...proving task "0" was replayed from the store, not re-run.
         assert out == [100, 4]
         assert calls == [2]
+
+    def test_crash_resume_restores_the_snapshot_from_the_sidecar(
+        self, tmp_path
+    ):
+        from repro.parallel.checkpoint import PREFOLDED
+
+        path = tmp_path / "c.ckpt"
+        ids = ["a", "b", "c"]
+        store = CampaignCheckpoint(path, fingerprint="fp", ordered_task_ids=ids)
+        store.record("a", 1)
+        store.record("b", 2)
+        snapshot = {"n_folded": 2, "acc": [1, 2]}
+        store.save_state(snapshot)
+        store.record("c", 3)  # crash: the store is never closed
+        lines = path.read_text().splitlines()
+        kinds = [json.loads(line)["kind"] for line in lines]
+        assert kinds == ["campaign", "task", "task", "task"]
+
+        resumed = CampaignCheckpoint(
+            path, fingerprint="fp", resume=True, ordered_task_ids=ids
+        )
+        assert resumed.saved_state == snapshot
+        assert resumed.completed == {"a": PREFOLDED, "b": PREFOLDED, "c": 3}
+
+        store.state_path.unlink()  # the main file alone holds no snapshot
+        replayed = CampaignCheckpoint(
+            path, fingerprint="fp", resume=True, ordered_task_ids=ids
+        )
+        assert replayed.saved_state is None
+        assert replayed.completed == {"a": 1, "b": 2, "c": 3}
+        store.close()
+
+    def test_in_file_state_record_is_an_unknown_kind(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        with CampaignCheckpoint(path, fingerprint="fp") as store:
+            store.record("a", 1)
+        with path.open("a") as fh:
+            fh.write(json.dumps({"kind": "state", "state": {"n_folded": 1}}))
+            fh.write("\n")
+        with pytest.raises(
+            CheckpointError, match=rf"c\.ckpt:3: unknown record kind 'state'"
+        ):
+            CampaignCheckpoint(path, fingerprint="fp", resume=True)
 
 
 class TestSweepFaults:

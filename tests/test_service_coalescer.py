@@ -4,14 +4,17 @@ The coalescer's whole contract is that N concurrent solve requests
 answered through one ``solve_many(problems, seeds=...)`` batch are
 **bitwise-identical** to answering each alone. The Hypothesis property
 drives random request mixes (seeds, problems, arrival interleavings,
-batch windows) through a shared coalescer and compares every response
+batch sizes) through a shared coalescer and compares every response
 against its serial ``solve(problem, rng=seed)`` reference.
 """
 
 from __future__ import annotations
 
+import queue
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -61,14 +64,13 @@ def _reference(problem_index: int, seed: int):
     stagger=st.lists(
         st.sampled_from([0.0, 0.0, 0.0005, 0.002]), min_size=12, max_size=12
     ),
-    max_delay=st.sampled_from([0.0, 0.002, 0.01]),
     max_batch=st.sampled_from([1, 3, 64]),
 )
 @settings(max_examples=20, deadline=None)
 def test_any_interleaving_matches_serial_reference(
-    requests, stagger, max_delay, max_batch
+    requests, stagger, max_batch
 ):
-    coalescer = RequestCoalescer(max_delay=max_delay, max_batch=max_batch)
+    coalescer = RequestCoalescer(max_batch=max_batch)
     solver = Solver(CONFIG)
     futures = []
 
@@ -102,7 +104,7 @@ def test_any_interleaving_matches_serial_reference(
 
 def test_storm_coalesces_into_few_batches():
     """A same-instant storm actually batches (and still answers right)."""
-    coalescer = RequestCoalescer(max_delay=0.05, max_batch=128)
+    coalescer = RequestCoalescer(max_batch=128)
     solver = Solver(CONFIG)
     n = 24
     barrier = threading.Barrier(n)
@@ -134,7 +136,7 @@ def test_batch_matches_one_explicit_solve_many_call():
     problems = [PROBLEMS[i % len(PROBLEMS)] for i in range(len(seeds))]
     batch = Solver(CONFIG).solve_many(problems, seeds=seeds)
 
-    coalescer = RequestCoalescer(max_delay=0.05, max_batch=len(seeds))
+    coalescer = RequestCoalescer(max_batch=len(seeds))
     futures = [
         coalescer.submit("key", solver, problem, seed)
         for problem, seed in zip(problems, seeds)
@@ -144,7 +146,7 @@ def test_batch_matches_one_explicit_solve_many_call():
 
 
 def test_distinct_keys_never_share_a_batch():
-    coalescer = RequestCoalescer(max_delay=0.02, max_batch=64)
+    coalescer = RequestCoalescer(max_batch=64)
     solver_a, solver_b = Solver(CONFIG), Solver(CONFIG)
     fa = coalescer.submit("a", solver_a, PROBLEMS[0], 1)
     fb = coalescer.submit("b", solver_b, PROBLEMS[1], 2)
@@ -161,7 +163,7 @@ def test_failing_batch_propagates_to_every_caller():
         def solve_many(self, problems, seeds=None):
             raise Boom("bad batch")
 
-    coalescer = RequestCoalescer(max_delay=0.02, max_batch=8)
+    coalescer = RequestCoalescer(max_batch=8)
     futures = [
         coalescer.submit("k", FailingSolver(), PROBLEMS[0], i)
         for i in range(3)
@@ -173,6 +175,156 @@ def test_failing_batch_propagates_to_every_caller():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        RequestCoalescer(max_delay=-1)
-    with pytest.raises(ValueError):
         RequestCoalescer(max_batch=0)
+
+
+# ----------------------------------------------------------------------
+# leader/follower dispatch, driven deterministically
+# ----------------------------------------------------------------------
+class GatedSolver:
+    """Fake solver: each ``solve_many`` call announces its seeds on
+    ``started``, then blocks until the test opens that call's gate."""
+
+    def __init__(self, fail_calls=()):
+        self.started: "queue.Queue[list]" = queue.Queue()
+        self.n_calls = 0
+        self._gates: "list[threading.Event]" = []
+        self._fail_calls = set(fail_calls)
+        self._lock = threading.Lock()
+
+    def _gate(self, call: int) -> threading.Event:
+        with self._lock:
+            while len(self._gates) <= call:
+                self._gates.append(threading.Event())
+            return self._gates[call]
+
+    def release(self, call: int) -> None:
+        self._gate(call).set()
+
+    def solve_many(self, problems, seeds=None):
+        with self._lock:
+            call = self.n_calls
+            self.n_calls += 1
+        self.started.put(list(seeds))
+        assert self._gate(call).wait(timeout=30), "gate never opened"
+        if call in self._fail_calls:
+            raise RuntimeError(f"batch {call} failed")
+        return [("report", seed) for seed in seeds]
+
+
+@pytest.mark.parametrize("max_batch", [64, 2])
+def test_followers_of_a_running_batch_form_the_next_batch(max_batch):
+    solver = GatedSolver()
+    coalescer = RequestCoalescer(max_batch=max_batch)
+    leader = coalescer.submit("k", solver, PROBLEMS[0], 0)
+    # batch 1 starts at once, alone: no window waits for company
+    assert solver.started.get(timeout=10) == [0]
+
+    seeds = [1, 2, 3, 4, 5]
+    followers = [
+        coalescer.submit("k", solver, PROBLEMS[0], seed) for seed in seeds
+    ]
+    assert not leader.done()
+    assert not any(future.done() for future in followers)
+    assert coalescer.stats()["pending_buckets"] == 1
+    assert solver.started.empty()  # nothing else runs beside batch 1
+
+    chunks = [seeds[i:i + max_batch] for i in range(0, len(seeds), max_batch)]
+    for call, chunk in enumerate(chunks):
+        solver.release(call)
+        assert solver.started.get(timeout=10) == chunk
+    solver.release(len(chunks))
+
+    assert leader.result(timeout=10) == ("report", 0)
+    assert [f.result(timeout=10) for f in followers] == [
+        ("report", seed) for seed in seeds
+    ]
+    assert solver.started.empty() and solver.n_calls == 1 + len(chunks)
+    assert coalescer.stats() == {
+        "batches": 1 + len(chunks),
+        "coalesced_requests": 1 + len(seeds),
+        "largest_batch": max(len(chunk) for chunk in chunks),
+        "pending_buckets": 0,
+    }
+
+    # the key is idle again: the next request leads a batch of its own
+    solver.release(solver.n_calls)
+    assert coalescer.submit("k", solver, PROBLEMS[0], 9).result(10) == (
+        "report", 9
+    )
+    assert solver.started.get(timeout=0) == [9]
+
+
+def test_a_raising_batch_fails_only_its_own_callers():
+    solver = GatedSolver(fail_calls={1})
+    coalescer = RequestCoalescer(max_batch=2)
+    leader = coalescer.submit("k", solver, PROBLEMS[0], 0)
+    assert solver.started.get(timeout=10) == [0]
+    followers = [
+        coalescer.submit("k", solver, PROBLEMS[0], seed) for seed in (1, 2, 3)
+    ]
+    for call in range(3):
+        solver.release(call)
+
+    assert leader.result(timeout=10) == ("report", 0)
+    for future in followers[:2]:  # batch [1, 2] raised
+        with pytest.raises(RuntimeError, match="batch 1 failed"):
+            future.result(timeout=10)
+    assert followers[2].result(timeout=10) == ("report", 3)
+    stats = coalescer.stats()
+    assert stats["pending_buckets"] == 0
+    assert stats["batches"] == 2 and stats["coalesced_requests"] == 2
+
+
+class OverlapCheckingSolver:
+    """Fast fake that records how many of its batches ever overlap."""
+
+    def __init__(self):
+        self.n_calls = 0
+        self.running = 0
+        self.max_running = 0
+        self._lock = threading.Lock()
+
+    def solve_many(self, problems, seeds=None):
+        with self._lock:
+            self.n_calls += 1
+            self.running += 1
+            self.max_running = max(self.max_running, self.running)
+        time.sleep(0.0002)  # let other submitters in while this batch runs
+        with self._lock:
+            self.running -= 1
+        return [("report", seed) for seed in seeds]
+
+
+def test_stress_one_running_batch_per_key_and_no_lost_request():
+    n_threads, per_thread, n_keys, max_batch = 16, 25, 4, 5
+    solvers = [OverlapCheckingSolver() for _ in range(n_keys)]
+    coalescer = RequestCoalescer(max_batch=max_batch)
+
+    def client(t):
+        futures = []
+        for i in range(per_thread):
+            key, seed = (t + i) % n_keys, 1000 * t + i
+            futures.append(
+                (seed, coalescer.submit(key, solvers[key], PROBLEMS[0], seed))
+            )
+        return [(seed, future.result(timeout=30)) for seed, future in futures]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            answers = [a for batch in pool.map(client, range(n_threads))
+                       for a in batch]
+    finally:
+        sys.setswitchinterval(interval)
+        coalescer.close()
+
+    assert len(answers) == n_threads * per_thread
+    assert all(report == ("report", seed) for seed, report in answers)
+    stats = coalescer.stats()
+    assert stats["coalesced_requests"] == n_threads * per_thread
+    assert stats["batches"] == sum(s.n_calls for s in solvers)
+    assert stats["largest_batch"] <= max_batch
+    assert stats["pending_buckets"] == 0
+    assert all(s.max_running == 1 for s in solvers)

@@ -35,7 +35,7 @@ SWEEP_BODY = {
 
 @pytest.fixture()
 def client():
-    app = create_app(max_workers=4, coalesce_window=0.002)
+    app = create_app(max_workers=4)
     yield AsgiTestClient(app)
     app.service.close()
 
