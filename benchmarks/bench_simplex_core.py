@@ -13,7 +13,9 @@ regression gate for that core, on the two chain shapes that matter:
   cold-HiGHS-per-solve reference (``lp_backend="scipy"``) in wall-clock
   at every K while producing valid, LP-bounded allocations, and must
   never need a HiGHS rescue (``n_fallback`` — otherwise a silent engine
-  failure). LU factorizations per solve are recorded per K.
+  failure). LU factorizations per solve and cold solves (``n_cold``:
+  the final reference solve of each chain, whose first solve starts
+  from the relaxation's HiGHS optimum) are recorded per K.
 * **Branch-and-bound re-solve chains** (one beta bound flipped per
   node, dual-simplex repair of the parent basis): warm-session B&B must
   agree with the cold-HiGHS-per-node reference on the optimum and beat
@@ -68,6 +70,7 @@ def _lprr_leg(k_values, seeds) -> dict:
             "iterations": 0,
             "dual_steps": 0,
             "n_warm": 0,
+            "n_cold": 0,
             "n_solves": 0,
             "n_fallback": 0,
             "factorizations": 0,
@@ -87,6 +90,7 @@ def _lprr_leg(k_values, seeds) -> dict:
             row["iterations"] += stats["iterations"]
             row["dual_steps"] += stats["dual_steps"]
             row["n_warm"] += stats["n_warm"]
+            row["n_cold"] += stats["n_cold"]
             row["n_solves"] += stats["n_solves"]
             row["n_fallback"] += stats["n_fallback"]
             row["factorizations"] += factorizations[0]
@@ -150,13 +154,13 @@ def test_simplex_core_regression(benchmark):
         "on LPRR pin chains and B&B bound-flip chains.",
     )
     print(f"{'K':>3} {'t session (s)':>14} {'t scipy (s)':>12} "
-          f"{'speedup':>8} {'warm/solves':>12} {'iters':>7} "
+          f"{'speedup':>8} {'warm/solves':>12} {'cold':>5} {'iters':>7} "
           f"{'LU/solve':>9} {'fallbacks':>10}")
     for k, row in data["lprr"].items():
         speedup = row["time_scipy"] / max(row["time_session"], 1e-12)
         print(f"{k:>3} {row['time_session']:>14.3f} {row['time_scipy']:>12.3f} "
               f"{speedup:>7.2f}x {row['n_warm']:>5}/{row['n_solves']:<6} "
-              f"{row['iterations']:>7} "
+              f"{row['n_cold']:>5} {row['iterations']:>7} "
               f"{row['factorizations_per_solve']:>9.2f} "
               f"{row['n_fallback']:>10}")
     print(f"{'K':>3} {'t bnb warm (s)':>15} {'t bnb cold (s)':>15} "

@@ -6,10 +6,13 @@ carry, :mod:`repro.lp.session`). This benchmark is the
 regression gate for that subsystem:
 
 * warm LPRR must produce **bitwise-identical allocations** to the cold
-  reference path on the whole sweep (same seeds -> same roundings ->
-  the shared cold final solve yields the same bytes) — including K >= 8,
-  where the revised engine's canonical-vertex rule keeps degenerate
-  optima deterministic;
+  reference path on the whole sweep (same seeds -> same betas -> same
+  roundings -> the shared cold final solve yields the same bytes) —
+  including K >= 8, where the revised engine's canonical-vertex rule
+  pins the betas of degenerate optima (not their alphas);
+* the warm chain opens from the support token of the relaxation's HiGHS
+  optimum, so every warm LPRR run has **exactly one cold solve**, the
+  final reference solve (``n_cold``, recorded per K);
 * warm LPRR must spend **strictly fewer simplex iterations** than cold,
   and at least 30% fewer over the sweep;
 * the warm session path must beat the cold-HiGHS-per-solve reference
@@ -77,7 +80,7 @@ def _sweep(k_values, seeds) -> dict:
             "iters_warm": 0, "iters_cold": 0,
             "time_warm": 0.0, "time_cold": 0.0, "time_scipy": 0.0,
             "warm_solves": 0, "solves": 0,
-            "fallbacks": 0, "factorizations_warm": 0,
+            "fallbacks": 0, "factorizations_warm": 0, "n_cold_warm": 0,
         }
         it_row = {"iterations": 0, "time": 0.0}
         for seed in seeds:
@@ -92,13 +95,20 @@ def _sweep(k_values, seeds) -> dict:
             ) and np.array_equal(warm.allocation.beta, cold.allocation.beta)
             out["lprr"]["runs"] += 1
             out["lprr"]["identical"] += int(same)
-            # The revised engine canonicalizes every optimal vertex
-            # (secondary objective over the optimal face), so warm and
-            # cold take identical intermediate vertices at every K on
+            # The revised engine canonicalizes every optimal vertex over
+            # the finite-bounded columns, so warm and cold steps report
+            # the same betas (to roundoff; their alphas may differ).
+            # Rounding reads only betas and the final solve is cold on
+            # both paths, so the allocations match bitwise at every K on
             # this pinned sweep. A failure here means a code change
-            # moved a vertex: inspect it before touching the pins.
+            # moved a beta: inspect it before touching the pins.
             assert same, (
                 f"warm/cold LPRR allocations diverged at K={k} seed={seed}"
+            )
+            # seeded first solve: only the final reference solve is cold
+            assert warm.meta["lp_stats"]["n_cold"] == 1, (
+                f"warm LPRR ran {warm.meta['lp_stats']['n_cold']} cold "
+                f"solves at K={k} seed={seed}"
             )
             scipy_ref = lprr.run(problem, rng=seed, lp_backend="scipy")
             row["time_scipy"] += scipy_ref.runtime
@@ -109,6 +119,7 @@ def _sweep(k_values, seeds) -> dict:
             row["time_cold"] += cold.runtime
             row["warm_solves"] += ws["n_warm"]
             row["solves"] += ws["n_solves"]
+            row["n_cold_warm"] += ws["n_cold"]
             row["factorizations_warm"] += factorizations[0]
 
             lprg_it_result = lprg_it.run(problem, lp_backend="session")
@@ -154,13 +165,15 @@ def test_warmstart_regression(benchmark):
     )
     print(f"{'K':>3} {'iters cold':>11} {'iters warm':>11} {'saved':>7} "
           f"{'t cold (s)':>11} {'t warm (s)':>11} {'t scipy (s)':>12} "
-          f"{'LU/solve':>9} {'fallbacks':>10}")
+          f"{'LU/solve':>9} {'fallbacks':>10} {'cold/warm run':>14}")
+    n_runs = len(seeds)
     for k, row in data["lprr"]["per_k"].items():
         saved = 1 - row["iters_warm"] / row["iters_cold"]
         print(f"{k:>3} {row['iters_cold']:>11} {row['iters_warm']:>11} "
               f"{saved:>6.0%} {row['time_cold']:>11.3f} {row['time_warm']:>11.3f} "
               f"{row['time_scipy']:>12.3f} "
-              f"{row['factorizations_per_solve']:>9.2f} {row['fallbacks']:>10}")
+              f"{row['factorizations_per_solve']:>9.2f} {row['fallbacks']:>10} "
+              f"{row['n_cold_warm'] / n_runs:>14.2f}")
     red = data["lprr"]["iteration_reduction"]
     print(f"LPRR: allocations bitwise-identical on "
           f"{data['lprr']['identical']}/{data['lprr']['runs']} runs; "

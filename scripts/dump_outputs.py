@@ -17,14 +17,20 @@ The dump holds, keyed by a readable path:
   iterated LPRG on scipy and branch-and-bound cold;
 * the tables of a streamed K=4/6 sweep, without ``runtime_mean_by_k``
   (wall clock);
+* a Figure 7 leg: LPRR and LPRR-eq on two K=8 and two K=12 platforms
+  drawn the way Figure 7 draws them (Table 1 grid points with
+  connectivity 0.6-0.8);
 * ``run_online(...).state_dict()`` for the ``drift-heavy``,
   ``failure-storm`` and ``churn`` event families.
 
 Each solve records its value, allocation (the LP point for ``lp`` and
-``milp``), LP solve count, LP session statistics and LP backend. Floats are written with ``repr`` and read
-back exactly. ``--compare`` prints how many leaf values are
-bitwise-identical, the largest relative change of a float value, and
-every changed non-float value (pivot counts, for instance).
+``milp``), LP solve count, LP session statistics and LP backend. Floats are
+written with ``repr`` and read back exactly. ``--compare`` prints how
+many leaf values are bitwise-identical, the largest relative change of a
+float value, and every changed value, in two groups: output leaves, and
+the work counts under an ``lp_stats`` key (pivots, warm/cold solve
+counts), which say how an answer was reached, not what it is. It exits
+1 when an output leaf changed.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ import numpy as np
 SEEDS = (0, 1, 2)
 EXACT_METHODS = ("bnb", "milp")
 ONLINE_FAMILIES = ("drift-heavy", "failure-storm", "churn")
+#: Figure 7's grid: Table 1 with connectivity 0.6-0.8, two platforms per K
+FIG7_K = (8, 12, 8, 12)
+FIG7_CONNECTIVITY = (0.6, 0.7, 0.8)
+FIG7_METHODS = ("lprr", "lprr-eq")
 #: (method, config overrides) of the non-default LP paths
 VARIANTS = (
     ("lprr", {"warm_start": False}),
@@ -77,6 +87,28 @@ def _solve_record(report, config) -> dict:
     })
 
 
+def _fig7_problems():
+    """``(tag, problem)`` for the Figure 7 leg's platforms."""
+    from repro import SteadyStateProblem, generate_platform
+    from repro.experiments.config import (
+        DEFAULT_SCENARIO,
+        PAPER_GRID,
+        payoffs_for,
+        sample_settings,
+        spec_for,
+    )
+
+    grid = dict(PAPER_GRID, connectivity=FIG7_CONNECTIVITY)
+    settings = sample_settings(
+        len(FIG7_K), rng=np.random.default_rng(2005), k_values=FIG7_K, grid=grid
+    )
+    for i, setting in enumerate(settings):
+        rng = np.random.default_rng(i)
+        platform = generate_platform(spec_for(setting), rng=rng)
+        payoffs = payoffs_for(setting, DEFAULT_SCENARIO, rng)
+        yield f"k{setting.k}-{i}", SteadyStateProblem(platform, payoffs)
+
+
 def dump() -> dict:
     import repro
     from repro import Solver, SolverConfig, build_scenario
@@ -110,6 +142,12 @@ def dump() -> dict:
     tables.pop("runtime_mean_by_k", None)
     out["sweep/k4-6"] = _plain(tables)
 
+    for tag, problem in _fig7_problems():
+        for method in FIG7_METHODS:
+            config = SolverConfig(method=method, seed=7)
+            report = Solver(config).solve(problem)
+            out[f"fig7/{tag}/{method}"] = _solve_record(report, config)
+
     for family in ONLINE_FAMILIES:
         report = Solver(SolverConfig(seed=11)).run_online("table1-small", family)
         out[f"online/{family}"] = _plain(report.state_dict())
@@ -127,30 +165,38 @@ def _leaves(value, path=""):
         yield path, value
 
 
+def _is_work_count(path: str) -> bool:
+    """Leaves under an ``lp_stats`` key count solver work, not output."""
+    return "/lp_stats/" in path
+
+
 def compare(a: dict, b: dict) -> int:
-    """Print the diff summary; returns the number of differing leaves."""
+    """Print the diff summary; returns the number of changed output
+    leaves (changed ``lp_stats`` work counts are listed, not counted)."""
     left, right = dict(_leaves(a)), dict(_leaves(b))
     identical = worst = 0
     worst_at = None
-    other: list = []
+    outputs: list = []
+    work: list = []
     for path in sorted(set(left) | set(right)):
         x, y = left.get(path, "<missing>"), right.get(path, "<missing>")
         if type(x) is type(y) and json.dumps(x) == json.dumps(y):
             identical += 1
-        elif isinstance(x, float) and isinstance(y, (int, float)):
+            continue
+        (work if _is_work_count(path) else outputs).append((path, x, y))
+        if isinstance(x, float) and isinstance(y, (int, float)):
             rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
             if math.isfinite(rel) and rel > worst:
                 worst, worst_at = rel, path
-        else:
-            other.append((path, x, y))
     total = len(set(left) | set(right))
     print(f"{identical} of {total} values bitwise-identical")
     print(f"largest relative float change: {worst:.3g}"
           + (f" at {worst_at}" if worst_at else ""))
-    print(f"{len(other)} non-float values changed")
-    for path, x, y in other:
-        print(f"  {path}: {x!r} -> {y!r}")
-    return total - identical
+    for label, changed in (("output", outputs), ("lp_stats work-count", work)):
+        print(f"{len(changed)} {label} values changed")
+        for path, x, y in changed:
+            print(f"  {path}: {x!r} -> {y!r}")
+    return len(outputs)
 
 
 def main(argv=None) -> int:
@@ -162,8 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
-        compare(a, b)
-        return 0
+        return 1 if compare(a, b) else 0
     args.out.write_text(json.dumps(dump(), sort_keys=True, indent=1) + "\n")
     return 0
 

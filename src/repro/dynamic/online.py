@@ -43,16 +43,16 @@ degenerate face — e.g. a failed node leaving surplus capacity free
 elsewhere — still resolves to one vertex whatever basis the solve
 started from. Second, one vertex can be represented by *different
 bases*, whose ``B^{-1}b`` extractions differ at roundoff; the **support
-token** (:meth:`OnlineScheduler._support_token`) derives one basis from
-the reported point alone — strictly-between columns plus the slacks of
-non-tight rows, completed by the slacks of the rows an LU factorization
-of those columns leaves unpivoted — and :meth:`LPSession.read` reads
-the point back from it with one factorization and one FTRAN. The
-reported floats then depend only on (instance data, token): identical
-on both sides exactly when both solves found the same vertex. A read
-that is infeasible, or whose value strays from the solve's by more than
-``1e-9`` relative, falls back to a re-solve from the token, and the
-scheduler counts it. The oracle only observes: nothing it computes flows
+token** (:meth:`LPSession.support_token`, in the LP layer) derives one
+basis from the reported point alone — strictly-between columns plus
+the slacks of non-tight rows, completed by the slacks of the rows an LU
+factorization of those columns leaves unpivoted — and
+:meth:`LPSession.read` reads the point back from it with one
+factorization and one FTRAN. The reported floats then depend only on
+(instance data, token): identical on both sides exactly when both
+solves found the same vertex. A read that is infeasible, or whose value
+strays from the solve's by more than ``1e-9`` relative, falls back to a
+re-solve from the token, and the scheduler counts it. The oracle only observes: nothing it computes flows
 back into the incremental session, so per-event solutions and state
 dicts are the same with ``check_oracle`` on or off, and there is no
 residual tie mode. ``record.oracle_match`` is an exact ``==`` on
@@ -77,7 +77,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.allocation import Allocation
 from repro.core.problem import SteadyStateProblem
@@ -90,7 +89,7 @@ from repro.lp.builder import (
     build_lp,
     use_build_cache,
 )
-from repro.lp.session import Basis, LPSession
+from repro.lp.session import LPSession
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import current_tracer
 from repro.platform.cluster import Cluster
@@ -102,16 +101,6 @@ CLASSIFICATIONS = ("rhs", "bounds", "structural")
 
 #: churn denominators below this treat the allocation as empty
 _CHURN_EPS = 1e-12
-
-#: support classification tolerance for the token extraction —
-#: coarse enough that the warm and oracle points (same vertex, roundoff
-#: apart) always classify identically, fine enough to separate genuine
-#: basic values from bound-resting ones on program-(7) scales
-_SUPPORT_TOL = 1e-7
-
-#: LU pivot, relative to its column's scale, below which a forced
-#: column is rank-redundant
-_RANK_TOL = 1e-8
 
 #: relative value agreement of a token read with its solve, and of a
 #: near-tie between the warm and oracle points
@@ -467,8 +456,6 @@ class OnlineScheduler:
                 else None
             )
         self._instance = instance
-        #: column-major copy of A_ub for the support token's forced block
-        self._columns = instance.A_ub.tocsc()
         if not hasattr(self, "_warm_totals"):
             self._warm_totals = self._session.stats.as_dict()
             self._oracle_totals = (
@@ -619,49 +606,6 @@ class OnlineScheduler:
             return self._session.solve()
         return self._session.solve(warm_basis=None)
 
-    def _support_token(self, x: np.ndarray) -> "Basis | None":
-        """Derive a deterministic basis token from a reported LP point.
-
-        Forced-basic columns are the structural variables strictly
-        between their bounds and the slacks of non-tight rows. An LU
-        factorization with partial pivoting of the forced structurals'
-        tight-row block picks the rows they cover; the slacks of the
-        tight rows left over complete the basis (a forced slack covers
-        its own row, so this is the factorization of the whole forced
-        block with the slacks taken first). The token is a function of
-        (A, bounds, support classification) only, and the classification
-        tolerance is orders of magnitude above the roundoff separating
-        the warm and oracle reports of one vertex — so both sides derive
-        the *same* token. Returns ``None`` when the forced columns are
-        dependent, so the point is not a vertex (a HiGHS-fallback
-        interior report): the caller then keeps the raw solution.
-        """
-        inst = self._instance
-        m, n = inst.A_ub.shape
-        between = np.nonzero(
-            (inst.lb + _SUPPORT_TOL < x) & (x < inst.ub - _SUPPORT_TOL)
-        )[0]
-        tight = np.nonzero(inst.b_ub - inst.A_ub @ x <= _SUPPORT_TOL)[0]
-        if between.size > tight.size:
-            return None
-        pivoted = np.zeros(m, dtype=bool)
-        if between.size:
-            forced = self._columns[:, between].toarray()
-            perm, _, U = scipy.linalg.lu(forced[tight], p_indices=True)
-            scale = np.maximum(1.0, np.abs(forced).max(axis=0))
-            if np.any(np.abs(np.diag(U)) <= _RANK_TOL * scale):
-                return None  # dependent forced columns: not a vertex
-            pivoted[tight[perm < between.size]] = True
-        at_upper = np.zeros(n + m, dtype=bool)
-        at_upper[:n] = (
-            np.isfinite(inst.ub)
-            & (inst.ub - inst.lb > _SUPPORT_TOL)
-            & (np.abs(x - inst.ub) <= _SUPPORT_TOL)
-        )
-        return Basis(
-            np.concatenate([between, n + np.nonzero(~pivoted)[0]]), at_upper
-        )
-
     def _extract(self, session: LPSession, solution):
         """Read the solve's point back from its own support token (see
         module docstring, "support token"): one factorization, one
@@ -669,7 +613,7 @@ class OnlineScheduler:
         ``(solution, fell_back)``; a read that is infeasible or strays
         from the solve's value falls back to a re-solve from the token.
         """
-        token = self._support_token(solution.x)
+        token = session.support_token(solution.x)
         if token is None:
             return solution, False
         read = session.read(token)

@@ -21,14 +21,26 @@ Two variants used by the ablation benchmarks:
 With the default ``lp_backend="session"`` the K^2 re-solve loop runs
 through a warm-started :class:`~repro.lp.session.LPSession`: each
 intermediate LP pins one more beta in place and is seeded with the
-previous optimal basis (and its LU factorization). The *final* solve —
-the one whose solution becomes the returned allocation — always runs
-through the session's cold path, so ``warm_start=True`` and
-``warm_start=False`` produce bitwise-identical allocations whenever
-their intermediate rounding decisions agree (checked by
-``benchmarks/bench_warmstart.py``). ``lp_backend="scipy"`` restores the
-pre-session behaviour (fresh ``with_bounds`` copy + HiGHS per solve) as
-the escape hatch.
+previous optimal basis (and its LU factorization). The chain's *first*
+LP is the untouched relaxation, which the ``lp`` bound, LPR and LPRG
+solve with HiGHS as well; the warm chain asks
+:func:`~repro.lp.scipy_backend.solve_lp_scipy` for that optimum (a memo
+hit when one of them solved it under the same
+:class:`~repro.lp.builder.LPBuildCache`, as in every sweep task; one
+HiGHS solve otherwise) and starts from its :meth:`~repro.lp.session.LPSession.support_token`
+instead of the all-slack basis. A HiGHS failure, or a point that is not
+a vertex, leaves that first solve cold. ``warm_start=False`` makes no
+HiGHS call, and ``n_lp_solves`` counts the chain's LP solves only.
+
+The *final* solve — the one whose solution becomes the returned
+allocation — always runs through the session's cold path. Rounding
+reads only betas, and the session's ``"betas"`` canonicalization pins
+them whatever basis a solve starts from (the alphas of a warm and a cold
+step may differ), so ``warm_start=True`` and ``warm_start=False`` take
+the same rounding decisions and produce bitwise-identical allocations
+(checked by ``benchmarks/bench_warmstart.py``). ``lp_backend="scipy"``
+restores the pre-session behaviour (fresh ``with_bounds`` copy + HiGHS
+per solve) as the escape hatch.
 """
 
 from __future__ import annotations
@@ -42,8 +54,9 @@ from repro.core.problem import SteadyStateProblem
 from repro.heuristics.base import Heuristic, HeuristicResult, register_heuristic
 from repro.lp.builder import build_lp
 from repro.lp.scipy_backend import solve_lp_scipy
-from repro.lp.session import LPSession
+from repro.lp.session import Basis, LPSession
 from repro.lp.solution import INTEGRALITY_TOL
+from repro.util.errors import SolverError
 
 
 def _route_residual(platform, pair, residual: dict) -> int:
@@ -55,6 +68,22 @@ def _route_residual(platform, pair, residual: dict) -> int:
 def _consume(platform, pair, value: int, residual: dict) -> None:
     for name in platform.route(*pair).links:
         residual[name] -= value
+
+
+def _relaxation_seed(session: LPSession) -> "Basis | None":
+    """Warm-start token for the chain's first solve: the support token
+    of the HiGHS optimum of the session's still untouched relaxation.
+
+    In a sweep task the ``lp`` bound has solved this very instance under
+    the same build cache, so the HiGHS call is a memo hit. ``None`` (a
+    cold first solve, as without a seed) when HiGHS fails or its point
+    is not a vertex.
+    """
+    try:
+        optimum = solve_lp_scipy(session.instance)
+    except SolverError:
+        return None
+    return session.support_token(optimum.x)
 
 
 def _rounded_value(
@@ -94,9 +123,16 @@ class _LPRRBase(Heuristic):
 
         if lp_backend == "session":
             session = LPSession(instance, warm_start=warm_start)
+            seed = (
+                _relaxation_seed(session)
+                if warm_start and index.beta_pairs
+                else None
+            )
             lb, ub = instance.lb, instance.ub  # mutated in place
 
             def lp_solve():
+                if session.stats.n_solves == 0:
+                    return session.solve(warm_basis=seed)
                 return session.solve()
 
             def lp_solve_final():

@@ -12,7 +12,14 @@ exploits exactly that structure:
   ``build_lp`` re-assembly);
 * **warm start** — the optimal basis of the previous solve is carried
   across calls (as a :class:`Basis` token) and seeds the simplex, which
-  skips phase 1 whenever the carried basis is still usable.
+  skips phase 1 whenever the carried basis is still usable;
+* **support tokens** — :meth:`LPSession.support_token` derives a token
+  from an LP point alone, so a point that another solve reported
+  becomes a :meth:`LPSession.read` target or a ``warm_basis``. The
+  online scheduler reads every solve's point back through its token;
+  LPRR starts its pin chain from the token of the relaxation's HiGHS
+  optimum. The session never seeds itself: its own HiGHS calls are
+  rescues only.
 
 The engine is the bounded-variable revised simplex over an
 LU-factorized basis (:mod:`repro.lp.revised`): upper bounds are handled
@@ -41,6 +48,7 @@ import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.linalg
 
 from repro.lp.basis_lu import ExtendedMatrix
 from repro.lp.builder import LPInstance
@@ -61,6 +69,19 @@ _PHI = 0.6180339887498949
 #: seed of the ``all_columns`` weight stream
 _CANON_SEED = 20050404
 
+#: support classification tolerance of :meth:`LPSession.support_token`:
+#: a value more than this inside its box is basic, a row with less
+#: slack is tight. Coarse enough that two reports of one vertex —
+#: roundoff apart, e.g. a warm and a cold solve, or a HiGHS optimum —
+#: always classify identically; fine enough to separate genuine basic
+#: values from bound-resting ones on program-(7) scales
+_SUPPORT_TOL = 1e-7
+
+#: LU pivot, relative to its column's scale, below which a forced column
+#: of :meth:`LPSession.support_token` is rank-redundant (so the point is
+#: not a vertex)
+_RANK_TOL = 1e-8
+
 
 @functools.lru_cache(maxsize=8)
 def _generic_weights(n: int) -> np.ndarray:
@@ -77,15 +98,17 @@ def _canon_weights(ub: np.ndarray, all_columns: bool = False) -> np.ndarray:
     (:func:`repro.lp.revised._canonicalize`).
 
     A pure function of the column index and the box, so warm and cold
-    session solves canonicalize their shared optimal face to the same
-    point — that is what makes them report identical solutions on
-    degenerate LPs. By default columns with infinite upper bound get
-    weight zero (an optimal face can be unbounded along them, and the
-    heuristics' rounding decisions only consume the finite-bounded betas
-    anyway); these weights are ``1 + frac(j * phi)``. ``all_columns``
-    weights every structural column — only sound when the caller knows
-    the optimal face is bounded along all of them, as program-(7) faces
-    are (the compute rows cap the alphas, the maxmin rows cap ``t``).
+    session solves canonicalize their shared optimal face along the same
+    columns — that is what makes them agree on degenerate LPs. By
+    default columns with infinite upper bound get weight zero (an
+    optimal face can be unbounded along them, and the heuristics'
+    rounding decisions only consume the finite-bounded betas anyway), so
+    warm and cold solves agree on the betas, to roundoff, but may report
+    different alphas; these weights are ``1 + frac(j * phi)``.
+    ``all_columns`` weights every structural column — only sound when
+    the caller knows the optimal face is bounded along all of them, as
+    program-(7) faces are (the compute rows cap the alphas, the maxmin
+    rows cap ``t``) — so whole vertices agree.
 
     The golden-ratio stream is not generic enough for that mode:
     ``frac(a * phi) + frac(b * phi)`` and ``frac(c * phi) + frac(d * phi)``
@@ -416,6 +439,54 @@ class LPSession:
         if x is None:
             return None
         return LPSolution(x=x, value=float(inst.obj @ x), index=inst.index)
+
+    def support_token(self, x: np.ndarray) -> "Basis | None":
+        """Derive a deterministic basis token from the LP point ``x`` alone.
+
+        Forced-basic columns are the structural variables strictly
+        between their bounds and the slacks of non-tight rows (both
+        classified at :data:`_SUPPORT_TOL`). An LU factorization with
+        partial pivoting of the forced structurals' tight-row block
+        picks the rows they cover; the slacks of the tight rows left
+        over complete the basis (a forced slack covers its own row, so
+        this is the factorization of the whole forced block with the
+        slacks taken first). The token is a function of (A, bounds,
+        support classification) only, and the classification tolerance
+        is orders of magnitude above the roundoff separating two reports
+        of one vertex — so every report of that vertex, whichever basis
+        or solver produced it, gives the *same* token. Returns ``None``
+        when the forced columns are dependent (at :data:`_RANK_TOL`), so
+        the point is not a vertex (e.g. an interior report).
+
+        Uses: the online scheduler reads every solve's point back
+        through :meth:`read` of its token, and LPRR warm-starts its pin
+        chain from the token of the relaxation's HiGHS optimum.
+        """
+        inst = self.instance
+        m, n = inst.A_ub.shape
+        between = np.nonzero(
+            (inst.lb + _SUPPORT_TOL < x) & (x < inst.ub - _SUPPORT_TOL)
+        )[0]
+        tight = np.nonzero(inst.b_ub - inst.A_ub @ x <= _SUPPORT_TOL)[0]
+        if between.size > tight.size:
+            return None
+        pivoted = np.zeros(m, dtype=bool)
+        if between.size:
+            forced = self._A.gather(between).toarray()
+            perm, _, U = scipy.linalg.lu(forced[tight], p_indices=True)
+            scale = np.maximum(1.0, np.abs(forced).max(axis=0))
+            if np.any(np.abs(np.diag(U)) <= _RANK_TOL * scale):
+                return None  # dependent forced columns: not a vertex
+            pivoted[tight[perm < between.size]] = True
+        at_upper = np.zeros(n + m, dtype=bool)
+        at_upper[:n] = (
+            np.isfinite(inst.ub)
+            & (inst.ub - inst.lb > _SUPPORT_TOL)
+            & (np.abs(x - inst.ub) <= _SUPPORT_TOL)
+        )
+        return Basis(
+            np.concatenate([between, n + np.nonzero(~pivoted)[0]]), at_upper
+        )
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -235,7 +235,8 @@ class TestTokenRead:
         assert warm.value == pytest.approx(cold.value, rel=1e-12)
         noise = 1e-12 * np.random.default_rng(0).standard_normal(warm.x.shape)
         tokens = [
-            sched._support_token(x) for x in (warm.x, cold.x, warm.x + noise)
+            sched._session.support_token(x)
+            for x in (warm.x, cold.x, warm.x + noise)
         ]
         for token in tokens[1:]:
             assert np.array_equal(token.columns, tokens[0].columns)

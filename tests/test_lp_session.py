@@ -13,13 +13,27 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from repro import SteadyStateProblem, solve
-from repro.heuristics.base import registry
-from repro.lp.builder import _COOBuilder, LPInstance, build_lp
+import repro.heuristics.lprr as lprr_mod
+from repro import SteadyStateProblem, generate_platform, solve
+from repro.experiments.config import (
+    DEFAULT_SCENARIO,
+    PAPER_GRID,
+    payoffs_for,
+    sample_settings,
+    spec_for,
+)
+from repro.heuristics.base import get_heuristic, registry
+from repro.lp.builder import (
+    _COOBuilder,
+    LPBuildCache,
+    LPInstance,
+    build_lp,
+    use_build_cache,
+)
 from repro.lp.revised import revised_solve
 from repro.lp.scipy_backend import solve_lp_scipy
 from repro.lp.session import _PHI, Basis, LPSession, _canon_weights
-from repro.util.errors import InfeasibleError
+from repro.util.errors import InfeasibleError, SolverError
 
 from tests.strategies import problems
 
@@ -686,3 +700,137 @@ class TestBasisRead:
         )
         session.set_rhs([row], inst.b_ub[row] - 2.0 * slack[row])
         assert session.read(basis) is None
+
+
+    def test_support_token_reads_its_point_back(self, problem_factory):
+        """The token of a session optimum, and of the HiGHS optimum of
+        the same program (another vertex of the optimal face, in
+        general), is a basis whose point is that optimum."""
+        problem = problem_factory(seed=2, n_clusters=5)
+        session = LPSession(build_lp(problem))
+        solution = session.solve()
+        highs = solve_lp_scipy(build_lp(problem))
+        for x in (solution.x, highs.x):
+            token = session.support_token(x)
+            assert token.columns.shape == (session.instance.b_ub.shape[0],)
+            read = session.read(token)
+            assert read.value == pytest.approx(solution.value, rel=1e-9)
+            np.testing.assert_allclose(read.x, x, rtol=0, atol=1e-7)
+
+    def test_support_token_of_a_non_vertex_is_none(self, problem_factory):
+        problem = problem_factory(seed=2, n_clusters=5)
+        session = LPSession(build_lp(problem))
+        x = session.solve().x
+        # halfway to the origin every positive column is strictly
+        # between its bounds, and the capacity rows are no longer tight
+        assert session.support_token(0.5 * x) is None
+
+
+def _fig7_problem(k: int, i: int) -> SteadyStateProblem:
+    """A platform drawn the way Figure 7 draws one: a Table 1 grid point
+    with connectivity 0.6-0.8."""
+    grid = dict(PAPER_GRID, connectivity=(0.6, 0.7, 0.8))
+    (setting,) = sample_settings(
+        1, rng=np.random.default_rng(2005 + i), k_values=[k], grid=grid
+    )
+    rng = np.random.default_rng(i)
+    platform = generate_platform(spec_for(setting), rng=rng)
+    return SteadyStateProblem(
+        platform, payoffs_for(setting, DEFAULT_SCENARIO, rng), objective="maxmin"
+    )
+
+
+def _traced_run(problem, method, warm_start):
+    """One LPRR run; returns ``(result, betas of every session solve,
+    number of HiGHS calls made by the heuristic)``."""
+    betas, highs = [], []
+    solve_real = LPSession.solve
+
+    def solve_traced(session, *args, **kwargs):
+        solution = solve_real(session, *args, **kwargs)
+        betas.append(solution.beta.copy())
+        return solution
+
+    def highs_counted(instance):
+        highs.append(instance)
+        return solve_lp_scipy(instance)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LPSession, "solve", solve_traced)
+        mp.setattr(lprr_mod, "solve_lp_scipy", highs_counted)
+        result = get_heuristic(method).run(
+            problem, rng=problem.n_clusters, warm_start=warm_start
+        )
+    return result, betas, len(highs)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(8, "lprr"), (8, "lprr-eq"), (12, "lprr"), (12, "lprr-eq")],
+    ids=lambda p: f"K{p[0]}-{p[1]}",
+)
+def seeded_chain(request):
+    """A warm (seeded) and a cold LPRR chain on one Figure 7 platform."""
+    k, method = request.param
+    problem = _fig7_problem(k, 0)
+    return _traced_run(problem, method, True), _traced_run(problem, method, False)
+
+
+class TestSeededPinChain:
+    """The warm LPRR chain opens from the support token of the
+    relaxation's HiGHS optimum instead of a cold solve."""
+
+    def test_only_the_final_solve_is_cold(self, seeded_chain):
+        (warm, _, warm_highs), (cold, _, cold_highs) = seeded_chain
+        stats = warm.meta["lp_stats"]
+        assert stats["n_cold"] == 1
+        assert stats["n_warm"] == stats["n_solves"] - 1
+        assert stats["n_fallback"] == 0
+        # n_lp_solves counts chain solves only, not the HiGHS seed
+        assert warm.n_lp_solves == stats["n_solves"]
+        assert warm_highs == 1
+        # the cold reference stays cold and never calls HiGHS
+        assert cold.meta["lp_stats"]["n_warm"] == 0
+        assert cold_highs == 0
+
+    def test_allocation_is_the_cold_chains_byte_for_byte(self, seeded_chain):
+        (warm, _, _), (cold, _, _) = seeded_chain
+        assert warm.allocation.alpha.tobytes() == cold.allocation.alpha.tobytes()
+        assert warm.allocation.beta.tobytes() == cold.allocation.beta.tobytes()
+        assert warm.value == cold.value
+        assert warm.n_lp_solves == cold.n_lp_solves
+
+    def test_betas_match_the_cold_chain_at_every_step(self, seeded_chain):
+        """What the seed relies on: rounding reads only betas, and the
+        ``"betas"`` canonicalization pins them whatever basis a solve
+        starts from (the alphas of warm and cold steps may differ)."""
+        (_, warm_betas, _), (_, cold_betas, _) = seeded_chain
+        assert len(warm_betas) == len(cold_betas)
+        for step, (warm, cold) in enumerate(zip(warm_betas, cold_betas)):
+            gap = np.max(np.abs(warm - cold), initial=0.0)
+            assert gap <= 1e-12, f"step {step}: betas differ by {gap:.3g}"
+
+    def test_seed_after_the_lp_bound_is_a_memo_hit(self):
+        problem = _fig7_problem(8, 1)
+        cache = LPBuildCache()
+        with use_build_cache(cache):
+            get_heuristic("lp").run(problem)
+            hits = cache.solution_hits
+            result = get_heuristic("lprr").run(problem, rng=0)
+        assert cache.solution_hits == hits + 1
+        assert result.meta["lp_stats"]["n_cold"] == 1
+
+    def test_highs_failure_falls_back_to_a_cold_first_solve(self, monkeypatch):
+        problem = _fig7_problem(8, 1)
+        seeded = get_heuristic("lprr").run(problem, rng=0)
+
+        def failing(instance):
+            raise SolverError("HiGHS failed")
+
+        monkeypatch.setattr(lprr_mod, "solve_lp_scipy", failing)
+        unseeded = get_heuristic("lprr").run(problem, rng=0)
+        assert unseeded.meta["lp_stats"]["n_cold"] == 2
+        assert seeded.meta["lp_stats"]["n_cold"] == 1
+        assert unseeded.allocation.alpha.tobytes() == seeded.allocation.alpha.tobytes()
+        assert unseeded.allocation.beta.tobytes() == seeded.allocation.beta.tobytes()
+        assert unseeded.value == seeded.value
