@@ -13,6 +13,14 @@ The dump holds, keyed by a readable path:
 * every registered method on ``das2`` and ``table1-small``, three
   scenario seeds each, and the non-exact methods (all but ``bnb`` and
   ``milp``) on ``table1-medium``;
+* a ``reuse/`` twin of every ``das2`` and ``table1-small`` solve: the
+  same ``Solver``, right after the ``solve/`` record, solves an
+  equal-but-distinct copy of the problem (its platform round-tripped
+  through ``platform_to_dict``/``platform_from_dict``) through
+  ``solve_many([copy], seeds=[seed])``, so the cross-call state the
+  first solve left behind (LP templates, memoized HiGHS optima) is
+  read. ``--out`` exits 1 when a twin differs from its ``solve/``
+  record;
 * LPRR with ``warm_start=False`` and with ``lp_backend="scipy"``,
   iterated LPRG on scipy and branch-and-bound cold;
 * the tables of a streamed K=4/6 sweep, without ``runtime_mean_by_k``
@@ -44,6 +52,8 @@ from pathlib import Path
 import numpy as np
 
 SEEDS = (0, 1, 2)
+#: scenarios whose solves get a ``reuse/`` twin
+REUSE_SCENARIOS = ("das2", "table1-small")
 EXACT_METHODS = ("bnb", "milp")
 ONLINE_FAMILIES = ("drift-heavy", "failure-storm", "churn")
 #: Figure 7's grid: Table 1 with connectivity 0.6-0.8, two platforms per K
@@ -87,6 +97,19 @@ def _solve_record(report, config) -> dict:
     })
 
 
+def _equal_copy(problem):
+    """An equal-but-distinct copy of ``problem``: a new platform object
+    built from the original's serialized form."""
+    from repro import SteadyStateProblem
+    from repro.platform import platform_from_dict, platform_to_dict
+
+    return SteadyStateProblem(
+        platform_from_dict(platform_to_dict(problem.platform)),
+        problem.applications,
+        problem.objective,
+    )
+
+
 def _fig7_problems():
     """``(tag, problem)`` for the Figure 7 leg's platforms."""
     from repro import SteadyStateProblem, generate_platform
@@ -125,8 +148,14 @@ def dump() -> dict:
             problem = build_scenario(scenario, rng=np.random.default_rng(seed))
             for method in names:
                 config = SolverConfig(method=method, seed=seed)
-                report = Solver(config).solve(problem)
+                solver = Solver(config)
+                report = solver.solve(problem)
                 out[f"solve/{scenario}/{seed}/{method}"] = _solve_record(report, config)
+                if scenario in REUSE_SCENARIOS:
+                    [again] = solver.solve_many([_equal_copy(problem)], seeds=[seed])
+                    out[f"reuse/{scenario}/{seed}/{method}"] = _solve_record(
+                        again, config
+                    )
             for method, overrides in VARIANTS:
                 config = SolverConfig(method=method, seed=seed, **overrides)
                 report = Solver(config).solve(problem)
@@ -152,6 +181,18 @@ def dump() -> dict:
         report = Solver(SolverConfig(seed=11)).run_online("table1-small", family)
         out[f"online/{family}"] = _plain(report.state_dict())
     return out
+
+
+def reuse_mismatches(out: dict) -> list:
+    """Keys of the ``reuse/`` records that differ from their ``solve/``
+    twin (compared as canonical JSON, so floats bitwise)."""
+    return [
+        key
+        for key, record in sorted(out.items())
+        if key.startswith("reuse/")
+        and json.dumps(record, sort_keys=True)
+        != json.dumps(out["solve/" + key[len("reuse/"):]], sort_keys=True)
+    ]
 
 
 def _leaves(value, path=""):
@@ -209,8 +250,12 @@ def main(argv=None) -> int:
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         return 1 if compare(a, b) else 0
-    args.out.write_text(json.dumps(dump(), sort_keys=True, indent=1) + "\n")
-    return 0
+    out = dump()
+    args.out.write_text(json.dumps(out, sort_keys=True, indent=1) + "\n")
+    mismatches = reuse_mismatches(out)
+    for key in mismatches:
+        print(f"{key} differs from its solve/ twin")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

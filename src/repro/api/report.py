@@ -31,8 +31,9 @@ class SolveReport(HeuristicResult):
         Echo of the :class:`SolverConfig` that produced this result.
     cache_stats:
         Snapshot of the owning solver's cross-call cache counters after
-        this solve (LP template hits/cold builds, HiGHS memo hits, index
-        adoptions) — the observability half of the reuse story.
+        this solve (LP template hits/cold builds and templates held,
+        HiGHS memo hits and optima held, solves served) — the
+        observability half of the reuse story.
     """
 
     config: "SolverConfig | None" = None

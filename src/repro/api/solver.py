@@ -8,13 +8,12 @@ the state that makes repetition cheap and keeps it across calls:
 
 * an :class:`~repro.lp.builder.LPBuildCache` — assembled program-(7)
   templates keyed by platform fingerprint + objective + payoffs, so
-  repeat solves skip the COO assembly entirely, plus a bounded memo of
-  HiGHS optima keyed by the instance's content digest, so a relaxation
+  repeat solves of the same or an equal-but-distinct platform (pickled
+  across a process boundary, re-loaded from disk) skip the COO assembly
+  and the variable-index build entirely, plus a bounded memo of HiGHS
+  optima keyed by the instance's content digest, so a relaxation
   solved once (a repeat request's LPRG relaxation; the LP bound, LPR
   and LPRG of one sweep task) is not handed to HiGHS again;
-* a :class:`VariableIndex <repro.lp.indexing.VariableIndex>` adoption
-  map — equal-but-distinct platform objects (pickled across a process
-  boundary, re-loaded from disk) share one index per fingerprint;
 * a lazily created :class:`~repro.parallel.engine.CampaignEngine` for
   batched and swept execution under the config's ``jobs``.
 
@@ -43,7 +42,6 @@ from repro.heuristics.base import get_heuristic
 from repro.lp.builder import LPBuildCache, use_build_cache
 from repro.obs.trace import current_tracer, use_tracer
 from repro.parallel.engine import CampaignEngine
-from repro.platform.serialization import platform_fingerprint
 from repro.util.errors import SolverError
 from repro.util.rng import spawn_seed_sequences
 
@@ -63,24 +61,17 @@ class SolverState:
     :func:`repro.lp.builder.use_build_cache` (outer-wins, so nested
     facade calls inside a batch share the batch's cache).
 
-    Thread safety: the state's own mutations (index adoption, counters)
-    hold an internal lock, and :class:`~repro.lp.builder.LPBuildCache`
-    locks its lookups — so one :class:`Solver` may serve concurrent
-    solves from many threads (the :mod:`repro.service` request path)
-    with bitwise-identical results: reuse hands out pristine template
+    Thread safety: the state's own solve counter holds an internal
+    lock, and :class:`~repro.lp.builder.LPBuildCache` locks its lookups
+    — so one :class:`Solver` may serve concurrent solves from many
+    threads (the :mod:`repro.service` request path) with
+    bitwise-identical results: reuse hands out pristine template
     copies, never shared mutable solve state.
     """
 
-    #: retained platform memos (each pins its Platform via the cached
-    #: VariableIndex); bounded so a long-lived solver serving thousands
-    #: of distinct platforms cannot grow without limit
-    MAX_INDEX_ENTRIES = 256
-
     def __init__(self):
         self.lp_cache = LPBuildCache()
-        self.index_cache: dict = {}
         self.n_solves = 0
-        self.index_adoptions = 0
         self._lock = threading.RLock()
 
     def record_solves(self, n: int = 1) -> None:
@@ -88,39 +79,11 @@ class SolverState:
         with self._lock:
             self.n_solves += n
 
-    def adopt_platform(self, platform) -> None:
-        """Share cached variable indices with ``platform``.
-
-        The per-platform index memo (:func:`repro.lp.indexing.
-        shared_variable_index`) lives on the platform object; here the
-        first memo seen for a fingerprint is remembered, and any later
-        equal-but-distinct platform is seeded with its entries — so the
-        O(K^2) index build happens once per *fingerprint*, not once per
-        object.
-        """
-        try:
-            memo = platform.__dict__.setdefault("_index_memo", {})
-        except AttributeError:  # platform stand-in without a __dict__
-            return
-        try:
-            fingerprint = platform_fingerprint(platform)
-        except Exception:  # unserialisable stand-in
-            return
-        with self._lock:
-            known = self.index_cache.setdefault(fingerprint, memo)
-            if known is not memo:
-                for key, index in known.items():
-                    memo.setdefault(key, index)
-                self.index_adoptions += 1
-            while len(self.index_cache) > self.MAX_INDEX_ENTRIES:
-                del self.index_cache[next(iter(self.index_cache))]
-
     def stats(self) -> dict:
         """Counter snapshot (merged into every :class:`SolveReport`)."""
         out = dict(self.lp_cache.stats())
         with self._lock:
             out["n_solves"] = self.n_solves
-            out["index_adoptions"] = self.index_adoptions
         return out
 
 
@@ -249,7 +212,6 @@ class Solver:
         heuristic = get_heuristic(config.method)
         problem = self._problem_for(problem)
         self.state.record_solves(1)
-        self.state.adopt_platform(problem.platform)
         with self._observed(
             "solve", method=config.method, objective=problem.objective.name
         ) as span:
@@ -329,8 +291,6 @@ class Solver:
             for p, s in zip(problems, seed_seqs)
         ]
         self.state.record_solves(len(problems))
-        for p in problems:
-            self.state.adopt_platform(p.platform)
         with self._observed("solve_many", n_problems=len(problems)):
             with use_build_cache(self.state.lp_cache):
                 results = self.engine.run(tasks)
@@ -627,7 +587,6 @@ class Solver:
                 f"scenario name, got {events!r}"
             )
         self.state.record_solves(1)
-        self.state.adopt_platform(problem.platform)
         with self._observed("online", n_events=len(trace)):
             with use_build_cache(self.state.lp_cache):
                 scheduler = OnlineScheduler(

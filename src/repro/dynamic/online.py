@@ -325,6 +325,7 @@ class OnlineScheduler:
         # series. Never serialised into report state dicts (see the
         # determinism-invisibility contract in docs/architecture.md).
         self.metrics = MetricsRegistry()
+        self._session = self._oracle = None
         self._build_sessions()
         solution, fell_back = self._extract(
             self._session, self._solve_incremental()
@@ -365,25 +366,18 @@ class OnlineScheduler:
     def failed_nodes(self) -> "tuple[int, ...]":
         return tuple(sorted(self._failed_nodes))
 
-    @staticmethod
-    def _merged(totals: dict, session: "LPSession | None") -> dict:
-        out = dict(totals)
-        if session is not None:
-            for key, val in session.stats.as_dict().items():
-                out[key] = out.get(key, 0) + val
-        return out
-
     @property
     def session_stats(self) -> dict:
-        """Lifetime counters of the incremental session(s) — totals
-        survive structural rebuilds replacing the live session."""
-        return self._merged(self._warm_totals, self._session)
+        """Lifetime counters of the incremental session(s) — structural
+        rebuilds hand one :class:`~repro.lp.session.SessionStats` from
+        each replaced session to its successor."""
+        return self._session.stats.as_dict()
 
     @property
     def oracle_stats(self) -> "dict | None":
         if self._oracle is None:
             return None
-        return self._merged(self._oracle_totals, self._oracle)
+        return self._oracle.stats.as_dict()
 
     @property
     def platform(self) -> Platform:
@@ -433,34 +427,22 @@ class OnlineScheduler:
         )
         with use_build_cache(self._cache):
             instance = build_lp(template)
-            # Both sessions are *warm-capable* and share the mutated
-            # instance. The oracle is made cold per call
-            # (solve(warm_basis=None)) rather than per session
-            # (warm_start=False) because a cold session ignores every
-            # basis token — and a read fallback re-solves from an
-            # explicit token on either side.
-            self._session = LPSession(
-                instance,
-                warm_start=True,
-                max_iter=self.max_iter,
-                canon="all",
-            )
-            self._oracle = (
-                LPSession(
-                    instance,
-                    warm_start=True,
-                    max_iter=self.max_iter,
-                    canon="all",
-                )
+            # Both sessions share the mutated instance. The oracle
+            # solves cold per call (solve(warm_basis=None)); a read
+            # fallback re-solves from an explicit token on either side.
+            session = LPSession(instance, max_iter=self.max_iter, canon="all")
+            oracle = (
+                LPSession(instance, max_iter=self.max_iter, canon="all")
                 if self.options.check_oracle
                 else None
             )
+        # A rebuild keeps one lifetime counter record per role.
+        if self._session is not None:
+            session.stats = self._session.stats
+        if self._oracle is not None:
+            oracle.stats = self._oracle.stats
+        self._session, self._oracle = session, oracle
         self._instance = instance
-        if not hasattr(self, "_warm_totals"):
-            self._warm_totals = self._session.stats.as_dict()
-            self._oracle_totals = (
-                self._oracle.stats.as_dict() if self._oracle else {}
-            )
         # A rebuilt instance starts from the *base* platform's rows and
         # boxes; replay the accumulated drift/failure state onto it.
         K = self._base.n_clusters
@@ -473,19 +455,6 @@ class OnlineScheduler:
             [instance.row_id(f"local[{k}]") for k in range(K)], g
         )
         self._sync_pins()
-
-    def _accumulate_stats(self) -> None:
-        """Fold the live sessions' counters into the lifetime totals
-        (sessions are replaced wholesale on structural rebuilds)."""
-        for totals, session in (
-            (self._warm_totals, self._session),
-            (self._oracle_totals, self._oracle),
-        ):
-            if session is None:
-                continue
-            for key, val in session.stats.as_dict().items():
-                totals[key] = totals.get(key, 0) + val
-            session.stats.__init__()
 
     def _pinned_vars_needed(self) -> "set[int]":
         index = self._instance.index
@@ -580,7 +549,6 @@ class OnlineScheduler:
                     f"app-arrive: cluster {k} already hosts a live application"
                 )
             self._payoffs[k] = float(event.payoff)
-            self._accumulate_stats()
             self._build_sessions()
             return "structural"
         if kind == "app-depart":
@@ -590,7 +558,6 @@ class OnlineScheduler:
                     f"app-depart: cluster {k} has no live application"
                 )
             self._payoffs[k] = 0.0
-            self._accumulate_stats()
             self._build_sessions()
             return "structural"
         raise EventTraceError(f"unknown event kind {kind!r}")  # pragma: no cover

@@ -87,17 +87,17 @@ def headline_ratios(rows: Sequence[ExperimentRow]) -> dict[str, float]:
     }
 
 
-def lpr_failure_stats(
-    rows: Sequence[ExperimentRow], zero_tol: float = 1e-9
-) -> dict[str, float]:
+def lpr_failure_stats(rows: Sequence[ExperimentRow]) -> dict[str, float]:
     """How badly LPR underperforms: mean/median/p95 ratio-to-LP and the
-    zero-value rate. Quantiles and the zero fraction come from exact
+    zero-value rate (a value at or below
+    :data:`repro.parallel.stream.ZERO_TOL` counts as zero, as in the
+    streamed stats). Quantiles and the zero fraction come from exact
     integer counts (the same fixed-bin sketch the streaming path uses,
     :class:`repro.parallel.stream.QuantileAccumulator`), so those match
     the streamed values bit for bit; ``mean_ratio`` keeps this module's
     historical ``np.mean`` (pairwise summation), which can differ from
     the streamed correctly-rounded exact-sum mean in the last ulp."""
-    from repro.parallel.stream import QuantileAccumulator
+    from repro.parallel.stream import ZERO_TOL, QuantileAccumulator
 
     lpr_rows = [r for r in rows if r.method == "lpr"]
     if not lpr_rows:
@@ -109,7 +109,7 @@ def lpr_failure_stats(
             "p95_ratio": nan,
         }
     ratios = [r.ratio for r in lpr_rows]
-    zeros = [r.value <= zero_tol for r in lpr_rows]
+    zeros = [r.value <= ZERO_TOL for r in lpr_rows]
     sketch = QuantileAccumulator()
     for ratio in ratios:
         sketch.update(ratio)

@@ -138,7 +138,6 @@ class _ResidualUpdater:
             b[row] = payoff * float(base_throughputs[k])
         for col, links in self.beta_caps:
             inst.ub[col] = float(min(ledger.connections[name] for name in links))
-        inst.invalidate_bounds()
 
 
 @register_heuristic

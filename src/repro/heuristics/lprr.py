@@ -30,7 +30,8 @@ hit when one of them solved it under the same
 HiGHS solve otherwise) and starts from its :meth:`~repro.lp.session.LPSession.support_token`
 instead of the all-slack basis. A HiGHS failure, or a point that is not
 a vertex, leaves that first solve cold. ``warm_start=False`` makes no
-HiGHS call, and ``n_lp_solves`` counts the chain's LP solves only.
+HiGHS call and starts every step cold (``solve(warm_basis=None)``), and
+``n_lp_solves`` counts the chain's LP solves only.
 
 The *final* solve — the one whose solution becomes the returned
 allocation — always runs through the session's cold path. Rounding
@@ -122,7 +123,7 @@ class _LPRRBase(Heuristic):
         index = instance.index
 
         if lp_backend == "session":
-            session = LPSession(instance, warm_start=warm_start)
+            session = LPSession(instance)
             seed = (
                 _relaxation_seed(session)
                 if warm_start and index.beta_pairs
@@ -131,7 +132,8 @@ class _LPRRBase(Heuristic):
             lb, ub = instance.lb, instance.ub  # mutated in place
 
             def lp_solve():
-                if session.stats.n_solves == 0:
+                # seed is None on the cold chain: every step starts cold
+                if not warm_start or session.stats.n_solves == 0:
                     return session.solve(warm_basis=seed)
                 return session.solve()
 
@@ -174,8 +176,6 @@ class _LPRRBase(Heuristic):
                     else:
                         still.append(other)
                 unassigned = still
-            if session is not None:
-                instance.invalidate_bounds()
 
         final = lp_solve_final()
         n_solves += 1

@@ -29,11 +29,9 @@ import numpy as np
 from repro.lp.builder import LPInstance
 from repro.lp.scipy_backend import solve_lp_scipy
 from repro.lp.session import LPSession
-from repro.lp.solution import LPSolution
+from repro.lp.solution import INTEGRALITY_TOL, LPSolution
 from repro.util.errors import InfeasibleError, SolverError
 
-#: betas within this distance of an integer are considered integral
-_INT_TOL = 1e-6
 #: bound pruning slack (relative)
 _PRUNE_TOL = 1e-9
 
@@ -67,7 +65,7 @@ def _fractional_betas(instance: LPInstance, x: np.ndarray) -> "list[tuple[int, f
     out = []
     for i in range(idx.n_alpha, idx.n_alpha + idx.n_beta):
         frac = abs(x[i] - round(x[i]))
-        if frac > _INT_TOL:
+        if frac > INTEGRALITY_TOL:
             out.append((i, frac))
     return out
 
@@ -150,7 +148,7 @@ def solve_branch_and_bound(
         floor_v, ceil_v = math.floor(value), math.ceil(value)
 
         for lo_v, hi_v in (((lb[var]), float(floor_v)), (float(ceil_v), ub[var])):
-            if lo_v > hi_v + _INT_TOL:
+            if lo_v > hi_v + INTEGRALITY_TOL:
                 continue
             child_lb, child_ub = lb.copy(), ub.copy()
             child_lb[var] = max(lb[var], lo_v)

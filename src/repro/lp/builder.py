@@ -41,7 +41,9 @@ class LPInstance:
     A_ub, b_ub:
         Inequality system ``A_ub @ x <= b_ub`` (CSR sparse matrix).
     lb, ub:
-        Variable box bounds (``ub`` may contain ``np.inf``).
+        Variable box bounds (``ub`` may contain ``np.inf``). Callers
+        may write them in place between solves: both engines, and the
+        HiGHS memo's key, read the arrays themselves at solve time.
     index:
         The :class:`~repro.lp.indexing.VariableIndex` mapping flat
         positions back to ``alpha``/``beta`` entries.
@@ -56,9 +58,6 @@ class LPInstance:
     ub: np.ndarray
     index: VariableIndex
     row_labels: list = field(default_factory=list)
-    _bounds_cache: "list | None" = field(
-        default=None, repr=False, compare=False
-    )
     _row_map: "dict | None" = field(default=None, repr=False, compare=False)
 
     @property
@@ -68,25 +67,6 @@ class LPInstance:
     @property
     def n_rows(self) -> int:
         return self.A_ub.shape[0]
-
-    def bounds_list(self) -> list:
-        """Bounds in the ``[(lo, hi), ...]`` form ``linprog`` expects.
-
-        The list is cached on the instance (it used to be rebuilt — an
-        O(n) Python loop — on every solve of the K^2 re-solve loops).
-        In-place mutation of ``lb``/``ub`` must be followed by
-        :meth:`invalidate_bounds`.
-        """
-        if self._bounds_cache is None:
-            self._bounds_cache = [
-                (float(lo), None if np.isinf(hi) else float(hi))
-                for lo, hi in zip(self.lb, self.ub)
-            ]
-        return self._bounds_cache
-
-    def invalidate_bounds(self) -> None:
-        """Drop the :meth:`bounds_list` cache after mutating lb/ub."""
-        self._bounds_cache = None
 
     def row_id(self, label: str) -> int:
         """Row index of the constraint labelled ``label`` (KeyError if absent)."""
@@ -195,7 +175,9 @@ class LPBuildCache:
     assembly. :meth:`fetch` returns a :meth:`LPInstance.fresh_copy`, so
     callers may mutate bounds/RHS freely while the pristine template
     survives; results are therefore bitwise-identical with and without
-    the cache. All copies of a template share its CSR ``A_ub``.
+    the cache. All copies of a template share its CSR ``A_ub`` and its
+    :class:`~repro.lp.indexing.VariableIndex`, so an equal-but-distinct
+    platform that hits a template builds no index either.
 
     Install with :func:`use_build_cache`; :class:`repro.api.Solver` owns
     one per instance — it is the facade's cross-call warm state. The

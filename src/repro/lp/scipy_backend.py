@@ -4,7 +4,9 @@ This is the production solver; the paper used the ``lp_solve`` Simplex
 package, for which :mod:`repro.lp.revised` is the in-repo stand-in.
 Under an active :class:`~repro.lp.builder.LPBuildCache` each optimum is
 memoized by the instance's content digest, so an identical instance is
-answered from the memo instead of HiGHS.
+answered from the memo instead of HiGHS. The box HiGHS solves and the
+box the digest covers are both read from ``lb``/``ub`` at call time, so
+an in-place bound write needs no notice to be seen by either.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def solve_lp_scipy(instance: LPInstance) -> LPSolution:
         c=-instance.obj,  # linprog minimises
         A_ub=instance.A_ub,
         b_ub=instance.b_ub,
-        bounds=instance.bounds_list(),
+        bounds=np.column_stack((instance.lb, instance.ub)),
         method="highs",
     )
     if result.status == _STATUS_INFEASIBLE:

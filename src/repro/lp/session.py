@@ -32,9 +32,9 @@ are frozen out of pricing rather than eliminated, so the carried basis
 (and its live LU factorization, kept across solves) maps one-to-one
 every time instead of going singular against a shrinking column set.
 
-``LPSession(instance, warm_start=False)`` is the escape hatch /
-reference: every solve then runs cold (no basis reuse) through the same
-engine, so warm-vs-cold output can be compared bitwise. HiGHS
+``solve(warm_basis=None)`` is the cold reference: that call starts
+from no basis (and no LU) through the same engine, so warm-vs-cold
+output can be compared bitwise on one session. HiGHS
 (:func:`repro.lp.scipy_backend.solve_lp_scipy`) stays the independent
 cross-check — the test-suite verifies session
 objective values against fresh cold HiGHS solves — and serves as the
@@ -126,7 +126,10 @@ def _canon_weights(ub: np.ndarray, all_columns: bool = False) -> np.ndarray:
 
 @dataclass
 class SessionStats:
-    """Counters accumulated across the lifetime of one :class:`LPSession`.
+    """Counters accumulated across the lifetime of one :class:`LPSession`
+    (or of a chain of them, when a caller hands a replaced session's
+    ``stats`` to its successor, as the online scheduler's structural
+    rebuilds do).
 
     ``iterations`` is the total simplex pivot count — the currency of
     the warm-start benchmark. ``n_warm`` counts solves whose carried
@@ -183,10 +186,6 @@ class LPSession:
     ----------
     instance:
         The program-(7) instance to re-solve.
-    warm_start:
-        ``False`` turns the session into the cold reference: every call
-        solves from scratch (identical arithmetic to the warm path's
-        ``solve(warm_basis=None)`` calls, enabling bitwise checks).
     max_iter:
         Pivot budget per simplex call; exhausting it triggers one cold
         HiGHS fallback solve instead of failing.
@@ -205,7 +204,6 @@ class LPSession:
     def __init__(
         self,
         instance: LPInstance,
-        warm_start: bool = True,
         max_iter: int = 100_000,
         canon: str = "betas",
     ):
@@ -214,7 +212,6 @@ class LPSession:
                 f'canon must be "betas" or "all", got {canon!r}'
             )
         self.instance = instance
-        self.warm_start = bool(warm_start)
         self.max_iter = int(max_iter)
         self.canon = canon
         self.stats = SessionStats()
@@ -251,7 +248,6 @@ class LPSession:
             var, (float(inst.lb[var]), float(inst.ub[var]))
         )
         inst.lb[var] = inst.ub[var] = float(value)
-        inst.invalidate_bounds()
 
     def release_variable(self, var: int) -> None:
         """Undo :meth:`fix_variable`: restore the pre-pin ``(lb, ub)`` box.
@@ -271,7 +267,6 @@ class LPSession:
         inst = self.instance
         inst.lb[var] = lo
         inst.ub[var] = hi
-        inst.invalidate_bounds()
 
     @property
     def pinned_variables(self) -> tuple:
@@ -293,9 +288,8 @@ class LPSession:
     def set_bounds(self, cols, lb=None, ub=None) -> None:
         """Sparse in-place bound update on a handful of variables.
 
-        Writes ``lb[cols]``/``ub[cols]`` (either may be omitted) and
-        invalidates the instance's cached bounds list. ``lb``/``ub``
-        broadcast across ``cols``.
+        Writes ``lb[cols]``/``ub[cols]`` (either may be omitted);
+        ``lb``/``ub`` broadcast across ``cols``.
         """
         if lb is None and ub is None:
             return
@@ -305,7 +299,6 @@ class LPSession:
             inst.lb[cols] = lb
         if ub is not None:
             inst.ub[cols] = ub
-        inst.invalidate_bounds()
 
     # ------------------------------------------------------------------
     def solve(
@@ -326,9 +319,8 @@ class LPSession:
             Basis token to warm-start from; defaults to the previous
             solve's basis. Pass an explicit token to re-solve from a
             different parent (branch-and-bound), or ``None`` to solve
-            this call from scratch while keeping the session warm — the
-            arithmetic of a ``warm_start=False`` session, so the result
-            is bitwise-comparable with one.
+            this call from scratch (the cold reference; the session's
+            next default call still carries this call's basis).
 
         Raises
         ------
@@ -340,16 +332,11 @@ class LPSession:
             np.copyto(inst.lb, lb)
         if ub is not None:
             np.copyto(inst.ub, ub)
-        if lb is not None or ub is not None:
-            inst.invalidate_bounds()
         if b_ub is not None:
             np.copyto(inst.b_ub, b_ub)
 
         self.stats.n_solves += 1
-        if not self.warm_start:
-            basis = None
-        else:
-            basis = self._basis if warm_basis is _AUTO else warm_basis
+        basis = self._basis if warm_basis is _AUTO else warm_basis
         tracer = current_tracer()
         if not tracer.enabled:
             return self._solve(basis)

@@ -71,7 +71,7 @@ from repro.util.errors import SolverError
 #: headline "LPRG over G" numbers)
 DEFAULT_PAIRWISE = (("lprg", "greedy"),)
 
-#: rows with ``value <= ZERO_TOL`` count as zero-valued (matches
+#: rows with ``value <= ZERO_TOL`` count as zero-valued (here and in
 #: :func:`repro.experiments.aggregate.lpr_failure_stats`)
 ZERO_TOL = 1e-9
 

@@ -2,8 +2,9 @@
 
 The whole point of a resident service is that the second request from a
 platform is cheaper than the first: the facade's
-:class:`~repro.api.solver.SolverState` holds the LP template cache and
-the variable-index adoption map, both keyed by platform fingerprint.
+:class:`~repro.api.solver.SolverState` holds the LP template cache,
+keyed by platform fingerprint (each template carries its variable
+index), and the memo of HiGHS optima beside it.
 The pool keeps one warm ``Solver`` per
 
     (platform fingerprint, config fingerprint)
@@ -12,8 +13,9 @@ pair — the platform fingerprint scopes *what* is cached, the
 :func:`~repro.api.config.config_fingerprint` scopes *how it solves*
 (two configs may produce different results, so they must never share a
 report-stamping solver). Eviction is LRU with a bounded size; each
-``Solver`` additionally bounds its own index cache, so total memory is
-capped on both axes.
+``Solver``'s :class:`~repro.lp.builder.LPBuildCache` additionally
+bounds its templates and memoized optima, so total memory is capped on
+both axes.
 
 Solvers handed out are shared across threads — safe because
 ``SolverState`` and :class:`~repro.lp.builder.LPBuildCache` lock their

@@ -128,17 +128,6 @@ class TestBatchAndSweepEquivalence:
             assert report.cache_stats["cold_builds"] == 1
             assert report.cache_stats["build_hits"] == 5
 
-    def test_index_cache_bounded(self, problem_factory):
-        from repro.api import SolverState
-
-        solver = Solver.for_method("greedy")
-        for fp in range(SolverState.MAX_INDEX_ENTRIES + 50):
-            solver.state.index_cache[f"fake-{fp}"] = {}
-        solver.state.adopt_platform(
-            problem_factory(seed=0, n_clusters=3).platform
-        )
-        assert len(solver.state.index_cache) <= SolverState.MAX_INDEX_ENTRIES
-
     def test_sweep_matches_legacy_run_sweep(self):
         from repro.experiments import run_sweep, sample_settings
 

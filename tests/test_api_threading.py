@@ -114,7 +114,8 @@ def test_lp_build_cache_counters_consistent_under_contention():
 
 
 def test_index_adoption_threadsafe_for_equal_platforms():
-    """Equal-but-distinct platform objects adopted concurrently."""
+    """Equal-but-distinct platform objects solved concurrently share one
+    LP template (and with it one variable index)."""
     spec = PlatformSpec(
         n_clusters=5, connectivity=0.7, heterogeneity=0.3,
         mean_g=250.0, mean_bw=30.0, mean_max_connect=10.0,
@@ -123,9 +124,9 @@ def test_index_adoption_threadsafe_for_equal_platforms():
         SteadyStateProblem(generate_platform(spec, rng=7), objective="maxmin")
         for _ in range(N_THREADS)
     ]
-    solver = Solver(SolverConfig(method="greedy"))
+    solver = Solver(SolverConfig(method="lprg"))
     reference = _signature(
-        Solver(SolverConfig(method="greedy")).solve(copies[0], rng=0)
+        Solver(SolverConfig(method="lprg")).solve(copies[0], rng=0)
     )
 
     def run(problem):
@@ -134,4 +135,4 @@ def test_index_adoption_threadsafe_for_equal_platforms():
     with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
         for signature in pool.map(run, copies):
             assert signature == reference
-    assert len(solver.state.index_cache) == 1
+    assert solver.state.lp_cache.stats()["templates"] == 1

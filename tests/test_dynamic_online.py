@@ -153,6 +153,39 @@ class TestMutationPaths:
         sched.step(_ev("app-depart", 1, time=2.0))
         assert sched.session_stats["iterations"] > before
 
+    def test_lifetime_stats_are_the_sums_of_the_records(self, problem):
+        """Across drift, link fail/recover and both churn directions,
+        the warm session's lifetime counters grow by exactly the work
+        the records report, and the oracle's equal its records' sum."""
+        sched = _scheduler(problem)
+        assert sched.options.check_oracle
+        before = sched.session_stats
+        assert sched.oracle_stats["iterations"] == 0
+        records = [
+            sched.step(event)
+            for event in (
+                _ev("cpu-drift", 0, factor=0.8),
+                _ev("link-fail", "seg0", time=2.0),
+                _ev("app-depart", 1, time=3.0),
+                _ev("bw-drift", 2, factor=1.5, time=4.0),
+                _ev("link-recover", "seg0", time=5.0),
+                _ev("app-arrive", 1, payoff=1.5, time=6.0),
+                _ev("cpu-drift", 2, factor=0.6, time=7.0),
+            )
+        ]
+        kinds = {r.classification for r in records}
+        assert kinds == {"rhs", "bounds", "structural"}
+        after = sched.session_stats
+        warm_iterations = sum(r.warm_iterations for r in records)
+        assert warm_iterations > 0
+        assert after["iterations"] - before["iterations"] == warm_iterations
+        assert after["n_solves"] - before["n_solves"] == sum(
+            r.warm_solves for r in records
+        )
+        assert sched.oracle_stats["iterations"] == sum(
+            r.oracle_iterations for r in records
+        )
+
     def test_overlapping_link_failures_refcount_pins(self, problem):
         sched = _scheduler(problem)
         sched.step(_ev("link-fail", "seg0"))

@@ -9,6 +9,7 @@ from repro import (
     Solver,
     SolverConfig,
     SteadyStateProblem,
+    build_scenario,
     line_platform,
     star_platform,
 )
@@ -110,12 +111,6 @@ class TestBuildLP:
         clone = inst.with_bounds(inst.lb, inst.ub + 1)
         assert clone.A_ub is inst.A_ub
         assert clone.ub[0] == inst.ub[0] + 1
-
-    def test_bounds_list_format(self, line3):
-        inst = build_lp(SteadyStateProblem(line3, objective="sum"))
-        bounds = inst.bounds_list()
-        assert len(bounds) == inst.n_vars
-        assert all(b[0] == 0.0 for b in bounds)
 
     def test_objective_override(self, line3):
         problem = SteadyStateProblem(line3, objective="maxmin")
@@ -271,3 +266,47 @@ class TestSolutionMemo:
                 with pytest.raises(InfeasibleError):
                     solve_lp_scipy(infeasible)
         assert cache.stats()["solutions"] == 0 and cache.solution_hits == 0
+
+
+def _pin_every_beta_in_place(instance) -> None:
+    """Raw ``lb``/``ub`` writes, with no other call on the instance."""
+    betas = [instance.index.beta(*pair) for pair in instance.index.beta_pairs]
+    instance.lb[betas] = 0.0
+    instance.ub[betas] = 0.0
+
+
+class TestInPlaceBoundWrites:
+    """HiGHS and its memo read ``lb``/``ub`` at solve time: an in-place
+    pin after a solve is solved as pinned, never as the old box (das2,
+    scenario seed 0: the relaxation is worth 86.4, with every beta
+    pinned to 0 it is worth 70)."""
+
+    @staticmethod
+    def _reference(instance):
+        """A HiGHS solve of a ``with_bounds`` copy, with no memo."""
+        copy = instance.with_bounds(instance.lb.copy(), instance.ub.copy())
+        return solve_lp_scipy(copy)
+
+    def test_in_place_pin_is_seen_by_the_next_solve(self):
+        instance = build_lp(build_scenario("das2", rng=0))
+        assert solve_lp_scipy(instance).value == pytest.approx(86.4)
+        _pin_every_beta_in_place(instance)
+        pinned = solve_lp_scipy(instance)
+        reference = self._reference(instance)
+        assert pinned.value == reference.value == pytest.approx(70.0)
+        assert pinned.x.tobytes() == reference.x.tobytes()
+
+    def test_in_place_pin_under_a_build_cache(self):
+        problem = build_scenario("das2", rng=0)
+        cache = LPBuildCache()
+        with use_build_cache(cache):
+            instance = build_lp(problem)
+            assert solve_lp_scipy(instance).value == pytest.approx(86.4)
+            _pin_every_beta_in_place(instance)
+            pinned = solve_lp_scipy(instance)
+            copied = solve_lp_scipy(instance.fresh_copy())
+        reference = self._reference(instance)  # outside the cache
+        assert pinned.value == reference.value == pytest.approx(70.0)
+        assert copied.value == reference.value
+        assert pinned.x.tobytes() == copied.x.tobytes() == reference.x.tobytes()
+        assert cache.stats()["solutions"] == 2 and cache.solution_hits == 1

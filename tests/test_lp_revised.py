@@ -310,7 +310,6 @@ class TestOnPaperInstances:
             assert res.warm_started
             np.copyto(inst.lb, lb)
             np.copyto(inst.ub, ub)
-            inst.invalidate_bounds()
             ref = solve_lp_scipy(inst)
             assert res.value == pytest.approx(ref.value, rel=1e-7, abs=1e-7)
 

@@ -153,7 +153,6 @@ class TestSessionMatchesColdHiGHS:
             value = _floor_fix(solution.x[var])
             session.fix_variable(var, value)
             instance.lb[var] = instance.ub[var] = value
-            instance.invalidate_bounds()
         got = session.solve()
         ref = solve_lp_scipy(instance)
         assert got.value == pytest.approx(ref.value, rel=1e-6, abs=1e-6)
@@ -209,7 +208,6 @@ class TestPresolve:
         bad = float(instance.ub[n_alpha]) + 5.0
         session = LPSession(build_lp(problem))
         session.instance.lb[n_alpha] = session.instance.ub[n_alpha] = bad
-        session.instance.invalidate_bounds()
         with pytest.raises(InfeasibleError):
             session.solve()
 
@@ -223,7 +221,6 @@ class TestPresolve:
         inst = session.instance
         inst.lb[:] = 0.0
         inst.ub[:] = 0.0
-        inst.invalidate_bounds()
         got = session.solve()
         assert got.value == pytest.approx(0.0)
         assert np.all(got.x == 0.0)
@@ -232,22 +229,22 @@ class TestPresolve:
 class TestColdReferencePath:
     def test_cold_session_is_deterministic(self, problem_factory):
         problem = problem_factory(seed=3, n_clusters=4)
-        a = LPSession(build_lp(problem), warm_start=False).solve()
-        b = LPSession(build_lp(problem), warm_start=False).solve()
+        a = LPSession(build_lp(problem)).solve(warm_basis=None)
+        b = LPSession(build_lp(problem)).solve(warm_basis=None)
         assert np.array_equal(a.x, b.x)
         assert a.value == b.value
 
     def test_warm_cold_call_matches_cold_session(self, problem_factory):
         """solve(warm_basis=None) on a warm session must be bitwise-
-        identical to a warm_start=False session (shared final-solve
-        arithmetic)."""
+        identical to the same call on a fresh session, and to a repeat
+        of it (shared final-solve arithmetic)."""
         problem = problem_factory(seed=3, n_clusters=4)
         warm = LPSession(build_lp(problem))
-        cold = LPSession(build_lp(problem), warm_start=False)
+        cold = LPSession(build_lp(problem))
         warm.solve()  # prime a basis; must not leak into the cold call
         a = warm.solve(warm_basis=None)
-        b = cold.solve()
-        b2 = cold.solve()
+        b = cold.solve(warm_basis=None)
+        b2 = cold.solve(warm_basis=None)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(b.x, b2.x)
 
@@ -344,27 +341,6 @@ class TestAutoBackendPolicy:
         assert result.meta["lp_stats"]["n_warm"] > 0
 
 
-class TestBoundsListCache:
-    def test_cache_hit_and_invalidate(self, problem_factory):
-        instance = build_lp(problem_factory(seed=0, n_clusters=4))
-        first = instance.bounds_list()
-        assert instance.bounds_list() is first  # cached object
-        var = instance.index.n_alpha
-        instance.lb[var] = instance.ub[var] = 1.0
-        instance.invalidate_bounds()
-        fresh = instance.bounds_list()
-        assert fresh is not first
-        assert fresh[var] == (1.0, 1.0)
-
-    def test_with_bounds_does_not_share_cache(self, problem_factory):
-        instance = build_lp(problem_factory(seed=0, n_clusters=4))
-        instance.bounds_list()
-        clone = instance.with_bounds(instance.lb + 1.0, instance.ub)
-        assert clone.bounds_list()[0][0] == pytest.approx(
-            instance.bounds_list()[0][0] + 1.0
-        )
-
-
 class TestCOOBuilderSetMany:
     def test_set_many_equals_repeated_set(self):
         rows = [0, 2, 1, 2]
@@ -444,7 +420,6 @@ class TestDegenerateAndRedundantLPs:
         session.fix_variable(var, value)
         got2 = session.solve()
         ref_inst.lb[var] = ref_inst.ub[var] = value
-        ref_inst.invalidate_bounds()
         ref2 = solve_lp_scipy(ref_inst)
         assert got2.value == pytest.approx(ref2.value, rel=1e-6, abs=1e-6)
         assert session.stats.n_warm >= 1
@@ -485,14 +460,12 @@ class TestWarmStartAfterBoundFlip:
             assert first.x[var] > 0.5  # something to cut
             new_ub = float(first.x[var]) / 2.0
             session.instance.ub[var] = new_ub
-            session.instance.invalidate_bounds()
             return session, session.solve(), var, new_ub
 
         session, got, var, new_ub = drive()
         assert session.stats.n_warm >= 1
         ref_inst = build_lp(problem)
         ref_inst.ub[var] = new_ub
-        ref_inst.invalidate_bounds()
         ref = solve_lp_scipy(ref_inst)
         assert got.value == pytest.approx(ref.value, rel=1e-6, abs=1e-6)
         _, again, _, _ = drive()
@@ -513,11 +486,9 @@ class TestWarmStartAfterBoundFlip:
         if target > instance.ub[var]:
             pytest.skip("route already saturated on this seed")
         session.instance.lb[var] = target
-        session.instance.invalidate_bounds()
         got = session.solve()
         ref_inst = build_lp(problem)
         ref_inst.lb[var] = target
-        ref_inst.invalidate_bounds()
         ref = solve_lp_scipy(ref_inst)
         assert got.value == pytest.approx(ref.value, rel=1e-6, abs=1e-6)
 

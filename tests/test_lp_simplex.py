@@ -108,7 +108,7 @@ class TestOnPaperInstances:
         inst = build_lp(problem)
         ref = solve_lp_scipy(inst)
         ours = revised_solve(
-            inst.obj, inst.A_ub.toarray(), inst.b_ub, inst.bounds_list()
+            inst.obj, inst.A_ub.toarray(), inst.b_ub, (inst.lb, inst.ub)
         )
         assert ours.ok
         assert ours.value == pytest.approx(ref.value, rel=1e-6, abs=1e-6)
@@ -119,7 +119,7 @@ class TestOnPaperInstances:
             inst = build_lp(problem)
             ref = solve_lp_scipy(inst)
             ours = revised_solve(
-                inst.obj, inst.A_ub.toarray(), inst.b_ub, inst.bounds_list()
+                inst.obj, inst.A_ub.toarray(), inst.b_ub, (inst.lb, inst.ub)
             )
             assert ours.ok
             assert ours.value == pytest.approx(ref.value, rel=1e-6, abs=1e-6)
@@ -202,9 +202,8 @@ class TestToleranceRegressions:
         inst.b_ub *= scale
         inst.lb *= scale
         inst.ub *= scale
-        inst.invalidate_bounds()
         ours = revised_solve(
-            inst.obj, inst.A_ub.toarray(), inst.b_ub, inst.bounds_list()
+            inst.obj, inst.A_ub.toarray(), inst.b_ub, (inst.lb, inst.ub)
         )
         try:
             ref = solve_lp_scipy(inst)
