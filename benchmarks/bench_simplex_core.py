@@ -16,6 +16,13 @@ regression gate for that core, on the two chain shapes that matter:
   failure). LU factorizations per solve and cold solves (``n_cold``:
   the final reference solve of each chain, whose first solve starts
   from the relaxation's HiGHS optimum) are recorded per K.
+* **LPRR at the paper's K=40** (3,161 variables x 2,056 rows, 1,561
+  solves): one warm chain on seed 0. It must need no HiGHS rescue, run
+  exactly one cold solve (the final reference solve) and take one solve
+  per beta pair plus that final one; its factorizations and FTRAN/BTRAN
+  solves per LP solve are recorded. Its cold-HiGHS-per-solve reference
+  (about a minute) and seed 1 run only under ``REPRO_FULL=1``, where
+  the warm chain must beat it.
 * **Branch-and-bound re-solve chains** (one beta bound flipped per
   node, dual-simplex repair of the parent basis): warm-session B&B must
   agree with the cold-HiGHS-per-node reference on the optimum and beat
@@ -38,7 +45,9 @@ from repro.heuristics.base import get_heuristic
 from repro.lp.builder import build_lp
 from repro.lp.scipy_backend import solve_lp_scipy
 
-from benchmarks.conftest import banner, counting_factorizations, full_scale
+from benchmarks.conftest import (
+    banner, counting_factorizations, counting_lu_solves, full_scale,
+)
 
 _OUT = Path(__file__).resolve().parents[1] / "BENCH_simplex_core.json"
 
@@ -101,6 +110,47 @@ def _lprr_leg(k_values, seeds) -> dict:
     return per_k
 
 
+def _paper_leg(k, seeds, with_reference: bool) -> dict:
+    """LPRR warm chains at paper scale, with work counts per solve."""
+    lprr = get_heuristic("lprr")
+    row = {
+        "time_session": 0.0,
+        "time_scipy": None,
+        "iterations": 0,
+        "n_cold": 0,
+        "n_solves": 0,
+        "n_fallback": 0,
+        "beta_pairs": 0,
+        "factorizations": 0,
+        "lu_solves": 0,
+    }
+    for seed in seeds:
+        problem = _reference_problem(seed, k)
+        instance = build_lp(problem)
+        lp_bound = solve_lp_scipy(instance).value
+        with counting_factorizations() as factorizations, \
+                counting_lu_solves() as lu_solves:
+            warm = lprr.run(problem, rng=seed, lp_backend="session")
+        assert problem.check(warm.allocation).ok
+        assert warm.value <= lp_bound + 1e-6
+        stats = warm.meta["lp_stats"]
+        row["time_session"] += warm.runtime
+        row["iterations"] += stats["iterations"]
+        row["n_cold"] += stats["n_cold"]
+        row["n_solves"] += stats["n_solves"]
+        row["n_fallback"] += stats["n_fallback"]
+        row["beta_pairs"] += len(instance.index.beta_pairs)
+        row["factorizations"] += factorizations[0]
+        row["lu_solves"] += lu_solves[0]
+        if with_reference:
+            ref = lprr.run(problem, rng=seed, lp_backend="scipy")
+            assert problem.check(ref.allocation).ok
+            row["time_scipy"] = (row["time_scipy"] or 0.0) + ref.runtime
+    row["factorizations_per_solve"] = row["factorizations"] / row["n_solves"]
+    row["lu_solves_per_solve"] = row["lu_solves"] / row["n_solves"]
+    return {k: row}
+
+
 def _bnb_leg(k_values, seeds) -> dict:
     """B&B re-solve chains: warm session nodes vs cold HiGHS nodes."""
     bnb = get_heuristic("bnb")
@@ -130,12 +180,14 @@ def _bnb_leg(k_values, seeds) -> dict:
     return per_k
 
 
-def _sweep(lprr_k, bnb_k, seeds) -> dict:
+def _sweep(lprr_k, bnb_k, seeds, paper_k, paper_seeds) -> dict:
     return {
         "lprr_k": list(lprr_k),
         "bnb_k": list(bnb_k),
         "seeds": list(seeds),
+        "paper_seeds": list(paper_seeds),
         "lprr": _lprr_leg(lprr_k, seeds),
+        "lprr_paper": _paper_leg(paper_k, paper_seeds, full_scale()),
         "bnb": _bnb_leg(bnb_k, seeds),
     }
 
@@ -144,8 +196,11 @@ def test_simplex_core_regression(benchmark):
     lprr_k = (8, 12, 16, 20, 30) if full_scale() else (8, 12, 20)
     bnb_k = (4, 5)
     seeds = range(2)
+    paper_k = 40
+    paper_seeds = range(2) if full_scale() else range(1)
     data = benchmark.pedantic(
-        _sweep, args=(lprr_k, bnb_k, seeds), rounds=1, iterations=1
+        _sweep, args=(lprr_k, bnb_k, seeds, paper_k, paper_seeds),
+        rounds=1, iterations=1,
     )
 
     banner(
@@ -163,6 +218,17 @@ def test_simplex_core_regression(benchmark):
               f"{row['n_cold']:>5} {row['iterations']:>7} "
               f"{row['factorizations_per_solve']:>9.2f} "
               f"{row['n_fallback']:>10}")
+    for k, row in data["lprr_paper"].items():
+        ref = row["time_scipy"]
+        ref_text = "-" if ref is None else f"{ref:.3f}"
+        speedup = "-" if ref is None else f"{ref / row['time_session']:.2f}x"
+        print(f"{k:>3} {row['time_session']:>14.3f} {ref_text:>12} "
+              f"{speedup:>8} {row['n_solves'] - row['n_cold']:>5}/"
+              f"{row['n_solves']:<6} {row['n_cold']:>5} "
+              f"{row['iterations']:>7} "
+              f"{row['factorizations_per_solve']:>9.2f} "
+              f"{row['n_fallback']:>10}  "
+              f"({row['lu_solves_per_solve']:.2f} LU solves/solve)")
     print(f"{'K':>3} {'t bnb warm (s)':>15} {'t bnb cold (s)':>15} "
           f"{'nodes warm':>11} {'nodes cold':>11}")
     for k, row in data["bnb"].items():
@@ -193,6 +259,19 @@ def test_simplex_core_regression(benchmark):
         assert row["n_fallback"] == 0, (
             f"{row['n_fallback']} HiGHS fallbacks at K={k}"
         )
+    for k, row in data["lprr_paper"].items():
+        n_seeds = len(data["paper_seeds"])
+        assert row["n_fallback"] == 0, (
+            f"{row['n_fallback']} HiGHS fallbacks at K={k}"
+        )
+        # the final reference solve is the only cold one: the chain's
+        # first solve starts from the relaxation's HiGHS optimum
+        assert row["n_cold"] == n_seeds, f"{row['n_cold']} cold solves at K={k}"
+        assert row["n_solves"] == row["beta_pairs"] + n_seeds
+        if row["time_scipy"] is not None:
+            assert row["time_session"] < row["time_scipy"], (
+                f"session slower than cold HiGHS at K={k}"
+            )
     for k, row in data["bnb"].items():
         assert row["value_matches"] == row["runs"]
         assert row["time_warm"] < row["time_cold"], (

@@ -91,3 +91,27 @@ def counting_factorizations():
         yield count
     finally:
         LUBasis._factorize = factorize
+
+
+@contextmanager
+def counting_lu_solves():
+    """Count the FTRAN and BTRAN solves against an LU basis made inside
+    the block; yields a one-element list."""
+    from repro.lp.basis_lu import LUBasis
+
+    count = [0]
+    ftran, btran = LUBasis.ftran, LUBasis.btran
+
+    def counted_ftran(self, v):
+        count[0] += 1
+        return ftran(self, v)
+
+    def counted_btran(self, v):
+        count[0] += 1
+        return btran(self, v)
+
+    LUBasis.ftran, LUBasis.btran = counted_ftran, counted_btran
+    try:
+        yield count
+    finally:
+        LUBasis.ftran, LUBasis.btran = ftran, btran

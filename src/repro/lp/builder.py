@@ -203,6 +203,15 @@ class LPBuildCache:
     cache's own state — the returned template and solution *copies* are
     private to the caller, and the shared ``A_ub`` is read-only by
     contract — so solves themselves still run concurrently.
+
+    Both stores are single-flight. The first miss of a key in
+    :meth:`fetch` or :meth:`fetch_solution` returns ``None`` and makes
+    its caller the key's producer; a concurrent miss of the same key
+    waits until the producer's :meth:`store` / :meth:`store_solution`,
+    then reads the entry as a hit. So concurrent first solves of one
+    problem assemble program (7) once and call HiGHS once. A producer
+    whose build or solve fails calls :meth:`release`: the waiters wake,
+    nothing is memoized, and one of them becomes the next producer.
     """
 
     def __init__(self, max_entries: int = 64):
@@ -212,6 +221,9 @@ class LPBuildCache:
             OrderedDict()
         )
         self._lock = threading.RLock()
+        #: keys being built or solved, each with the event its producer
+        #: sets when it stores or releases the key
+        self._producing: "dict[tuple | bytes, threading.Event]" = {}
         self.build_hits = 0
         self.cold_builds = 0
         self.solution_hits = 0
@@ -242,13 +254,45 @@ class LPBuildCache:
             return None
         return (fingerprint, obj_fn.name, problem.payoffs.tobytes())
 
-    def fetch(self, key: tuple) -> "LPInstance | None":
+    def _single_flight(self, key, lookup):
+        """``lookup()`` under the lock until it finds an entry (returned)
+        or no other thread is producing ``key``: then this caller claims
+        the key and gets ``None``."""
+        while True:
+            with self._lock:
+                found = lookup()
+                if found is not None:
+                    return found
+                producing = self._producing.get(key)
+                if producing is None:
+                    self._producing[key] = threading.Event()
+                    return None
+            producing.wait()
+
+    def release(self, key) -> None:
+        """End this caller's claim on ``key`` and wake its waiters.
+
+        :meth:`store` and :meth:`store_solution` call it; a producer
+        whose build or HiGHS solve failed calls it directly, so no
+        waiter is stranded and nothing is memoized."""
         with self._lock:
+            producing = self._producing.pop(key, None)
+        if producing is not None:
+            producing.set()
+
+    def fetch(self, key: tuple) -> "LPInstance | None":
+        """A fresh copy of the template for ``key``; ``None`` makes the
+        caller its producer, who must :meth:`store` or :meth:`release`
+        it (a concurrent miss waits for that)."""
+
+        def lookup():
             template = self._templates.get(key)
             if template is None:
                 return None
             self.build_hits += 1
             return template.fresh_copy()
+
+        return self._single_flight(key, lookup)
 
     def store(self, key: "tuple | None", instance: LPInstance) -> None:
         with self._lock:
@@ -259,6 +303,7 @@ class LPBuildCache:
             while len(self._templates) > self.max_entries:
                 oldest = next(iter(self._templates))
                 del self._templates[oldest]
+        self.release(key)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -282,13 +327,20 @@ class LPBuildCache:
         return digest.digest()
 
     def fetch_solution(self, key: bytes) -> "tuple[np.ndarray, float] | None":
-        """A copy of the memoized ``(x, value)`` for ``key``, if any."""
-        with self._lock:
+        """A copy of the memoized ``(x, value)`` for ``key``; ``None``
+        makes the caller its producer, who must :meth:`store_solution`
+        or :meth:`release` it (a concurrent miss waits for that)."""
+
+        def lookup():
             found = self._solutions.get(key)
-            if found is None:
-                return None
-            self._solutions.move_to_end(key)
-            self.solution_hits += 1
+            if found is not None:
+                self._solutions.move_to_end(key)
+                self.solution_hits += 1
+            return found
+
+        found = self._single_flight(key, lookup)
+        if found is None:
+            return None
         x, value = found
         return x.copy(), value
 
@@ -300,6 +352,7 @@ class LPBuildCache:
             self._solutions.move_to_end(key)
             while len(self._solutions) > self.max_entries:
                 self._solutions.popitem(last=False)
+        self.release(key)
 
     def stats(self) -> dict:
         with self._lock:
@@ -386,10 +439,8 @@ def _build_lp(
     objective: "str | Objective | None" = None,
     base_throughputs: "np.ndarray | None" = None,
 ) -> LPInstance:
-    platform = problem.platform
     obj_fn = get_objective(objective) if objective is not None else problem.objective
-    payoffs = problem.payoffs
-    K = platform.n_clusters
+    K = problem.platform.n_clusters
     if base_throughputs is None:
         base_throughputs = np.zeros(K)
     else:
@@ -401,14 +452,31 @@ def _build_lp(
             )
 
     cache = active_build_cache()
-    cache_key = None
-    if cache is not None:
-        cache_key = cache.key_for(problem, obj_fn, base_throughputs)
-        if cache_key is not None:
-            cached = cache.fetch(cache_key)
-            if cached is not None:
-                return cached
+    if cache is None:
+        return _assemble(problem, obj_fn, base_throughputs)
+    cache_key = cache.key_for(problem, obj_fn, base_throughputs)
+    if cache_key is not None:
+        cached = cache.fetch(cache_key)
+        if cached is not None:
+            return cached
+    try:
+        instance = _assemble(problem, obj_fn, base_throughputs)
+    except BaseException:
+        cache.release(cache_key)
+        raise
+    cache.store(cache_key, instance)
+    return instance
 
+
+def _assemble(
+    problem: SteadyStateProblem,
+    obj_fn: Objective,
+    base_throughputs: np.ndarray,
+) -> LPInstance:
+    """Program (7) for ``problem`` under ``obj_fn``, built from scratch."""
+    platform = problem.platform
+    payoffs = problem.payoffs
+    K = platform.n_clusters
     index = shared_variable_index(platform, with_t=(obj_fn.name == "maxmin"))
     n = index.n_vars
     builder = _COOBuilder()
@@ -478,7 +546,7 @@ def _build_lp(
         # convention and t has no linearisation row to bound it.
         ub[index.t_index] = 0.0
 
-    instance = LPInstance(
+    return LPInstance(
         obj=obj,
         A_ub=A_ub,
         b_ub=b_ub,
@@ -487,6 +555,3 @@ def _build_lp(
         index=index,
         row_labels=builder.labels,
     )
-    if cache is not None:
-        cache.store(cache_key, instance)
-    return instance

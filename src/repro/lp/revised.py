@@ -35,6 +35,20 @@ Warm starts accept the ``basis``/``at_upper`` arrays of a previous
 iterations automatically from the carried basis's status and falls back
 to the cold path when the basis is singular or unusable.
 :func:`read_vertex` reads the point of a given basis without pivoting.
+
+What a solve reports is a function of its pivot sequence, and the
+pivots follow the last bits of every FTRAN and BTRAN. So beside the
+pricing rules and tolerances below, the refactorization schedule (the
+:class:`~repro.lp.basis_lu.LUBasis` eta-file bound, the fresh
+factorization :func:`_finish` takes before extracting ``x``) and the
+eta arithmetic are part of the output contract under the session's
+``"betas"`` canonicalization, which pins betas but not alphas:
+setting ``refactor_every=16`` (from 64) moved 1,114 of the 26,716
+leaves of ``scripts/dump_outputs.py``, the Figure 7 LPRR alphas landing
+on another vertex of the same optimal face. Work that only removes
+overhead around them (the kernel adapter of :mod:`repro.lp.basis_lu`,
+token checks, set-up) keeps every pivot and every bit; changing the
+schedule or the arithmetic changes outputs.
 """
 
 from __future__ import annotations
@@ -45,7 +59,9 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro.lp.basis_lu import ExtendedMatrix, LUBasis, SingularBasisError
+from repro.lp.basis_lu import (
+    ExtendedMatrix, LUBasis, SingularBasisError, valid_basis,
+)
 from repro.util.errors import SolverError
 
 #: reduced-cost / pivot-eligibility tolerance
@@ -116,17 +132,21 @@ class _Program:
         self.c = c
         self.ext = ExtendedMatrix.of(A)
         self.b = b
-        self.m, self.n = self.ext.shape
-        n_cols = self.n + self.m
-        self.lb = np.concatenate([lb, np.zeros(self.m)])
-        self.ub = np.concatenate([ub, np.full(self.m, np.inf)])
-        self.c_ext = np.concatenate([c, np.zeros(self.m)])
+        self.m, self.n = m, n = self.ext.shape
+        # slacks: lower bound 0, no upper bound, zero cost
+        self.lb = np.zeros(n + m)
+        self.lb[:n] = lb
+        self.ub = np.empty(n + m)
+        self.ub[:n] = ub
+        self.ub[n:] = np.inf
+        self.c_ext = np.zeros(n + m)
+        self.c_ext[:n] = c
         self.fixed = self.lb == self.ub
         self.max_iter = max_iter
         self.iterations = 0
         self.dual_steps = 0
         self.lu: "LUBasis | None" = None
-        self.vstat = np.full(n_cols, _AT_LOWER, dtype=np.int8)
+        self.vstat = np.zeros(n + m, dtype=np.int8)  # all _AT_LOWER
         #: last x_B / d and the state each was computed in (see
         #: basic_solution and reduced_costs)
         self._xb = self._xb_key = None
@@ -136,9 +156,9 @@ class _Program:
         # data, not against an absolute epsilon
         self.feas_tol = _FEAS_TOL * max(
             1.0,
-            float(np.max(np.abs(b))) if b.size else 0.0,
-            float(np.max(np.abs(lb))) if lb.size else 0.0,
-            float(np.max(ub[np.isfinite(ub)], initial=0.0)),
+            float(np.abs(b).max(initial=0.0)),
+            float(np.abs(lb).max(initial=0.0)),
+            float(ub[np.isfinite(ub)].max(initial=0.0)),
         )
 
     # -- linear algebra helpers ---------------------------------------
@@ -164,7 +184,7 @@ class _Program:
     def nonbasic_values(self) -> np.ndarray:
         """Values of all columns with basics zeroed (rhs contribution)."""
         xn = np.where(self.vstat == _AT_UPPER, self.ub, self.lb)
-        xn[self.vstat == _BASIC] = 0.0
+        xn[self.lu.basis] = 0.0  # exactly the columns vstat marks _BASIC
         return xn
 
     def basic_solution(self) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +202,7 @@ class _Program:
         key = (lu, lu.n_refactor, lu.n_updates, self.vstat.tobytes())
         if key != self._xb_key:
             xn = self.nonbasic_values()
-            xb = lu.ftran(self.b - self.ext.cols @ xn)
+            xb = lu.ftran(self.b - self.ext.matvec(xn))
             xn[lu.basis] = xb
             self._xb, self._xb_key = (xb, xn), key
         return self._xb
@@ -198,7 +218,7 @@ class _Program:
         key = (lu, lu.n_refactor, lu.n_updates)
         if c_ext is not self._d_for or key != self._d_key:
             y = lu.btran(c_ext[lu.basis])
-            self._d = c_ext - self.ext.rows @ y
+            self._d = c_ext - self.ext.rmatvec(y)
             self._d_for, self._d_key = c_ext, key
         return self._d
 
@@ -206,7 +226,7 @@ class _Program:
         """Row ``r`` of ``B^{-1} [A | I]`` (the dual pricing row)."""
         e = np.zeros(self.m)
         e[r] = 1.0
-        return self.ext.rows @ self.lu.btran(e)
+        return self.ext.rmatvec(self.lu.btran(e))
 
 
 def _primal_loop(
@@ -225,11 +245,12 @@ def _primal_loop(
     if frozen is None:
         frozen = p.fixed
     lu = p.lu
+    free = ~frozen
     degen_streak = 0
     while p.iterations < p.max_iter:
         xb, _ = p.basic_solution()
         d = p.reduced_costs(c_ext)
-        improving = ~frozen & (
+        improving = free & (
             ((p.vstat == _AT_LOWER) & (d > _OPT_TOL))
             | ((p.vstat == _AT_UPPER) & (d < -_OPT_TOL))
         )
@@ -239,21 +260,22 @@ def _primal_loop(
         if degen_streak > _DEGEN_LIMIT:
             q = int(cand[0])  # Bland: smallest improving index
         else:
-            q = int(cand[np.argmax(np.abs(d[cand]))])  # Dantzig
+            q = int(cand[np.abs(d[cand]).argmax()])  # Dantzig
         s = 1.0 if p.vstat[q] == _AT_LOWER else -1.0
         w = lu.ftran(lu.column(q))
         delta = -s * w  # change of x_B per unit step of the entering var
 
         lb_b = p.lb[lu.basis]
         ub_b = p.ub[lu.basis]
-        t = np.full(p.m, np.inf)
+        # ratio test; each step length is divided only where its row
+        # moves toward a bound (the others stay inf)
+        t = np.empty(p.m)
+        t.fill(np.inf)
         dec = delta < -_OPT_TOL
-        if np.any(dec):
-            t[dec] = np.maximum(xb[dec] - lb_b[dec], 0.0) / -delta[dec]
+        np.divide(np.maximum(xb - lb_b, 0.0), -delta, out=t, where=dec)
         inc = (delta > _OPT_TOL) & np.isfinite(ub_b)
-        if np.any(inc):
-            t[inc] = np.maximum(ub_b[inc] - xb[inc], 0.0) / delta[inc]
-        t_basic = float(np.min(t)) if p.m else np.inf
+        np.divide(np.maximum(ub_b - xb, 0.0), delta, out=t, where=inc)
+        t_basic = float(t.min()) if p.m else np.inf
         t_flip = p.ub[q] - p.lb[q]
 
         if t_flip <= t_basic:
@@ -275,7 +297,7 @@ def _primal_loop(
         if degen_streak > _DEGEN_LIMIT:
             r = int(tied[np.argmin(lu.basis[tied])])  # Bland: smallest basic
         else:
-            r = int(tied[np.argmax(np.abs(delta[tied]))])  # largest pivot
+            r = int(tied[np.abs(delta[tied]).argmax()])  # largest pivot
         leaving = int(lu.basis[r])
         p.vstat[leaving] = _AT_LOWER if delta[r] < 0 else _AT_UPPER
         p.vstat[q] = _BASIC
@@ -401,8 +423,7 @@ def _dual_loop(p: _Program, c_ext: np.ndarray) -> str:
         lb_b = p.lb[lu.basis]
         ub_b = p.ub[lu.basis]
         below = lb_b - xb
-        above = xb - ub_b
-        above[~np.isfinite(ub_b)] = -np.inf
+        above = np.where(np.isfinite(ub_b), xb - ub_b, -np.inf)
         viol = np.maximum(below, above)
         bad = np.nonzero(viol > p.feas_tol)[0]
         if bad.size == 0:
@@ -496,7 +517,10 @@ def _finish(
     worst = 0.0
     if p.m:
         worst = float(
-            max(np.max(lb_b - xb, initial=0.0), np.max(xb - np.where(np.isfinite(ub_b), ub_b, np.inf), initial=0.0))
+            max(
+                (lb_b - xb).max(initial=0.0),
+                (xb - np.where(np.isfinite(ub_b), ub_b, np.inf)).max(initial=0.0),
+            )
         )
     if worst > 1e3 * p.feas_tol:
         # the factorization drifted past the feasibility band: a caller
@@ -553,13 +577,16 @@ def read_vertex(
     factorization of the basis and one FTRAN — the arithmetic
     :func:`revised_solve` reports its optimum with, so the read equals a
     re-solve from ``basis`` that takes no pivot. Returns the structural
-    ``x``, or ``None`` when the basis is singular or ``x_B`` leaves its
-    box by more than the engine's feasibility tolerance. Optimality is
-    not checked: the caller compares the objective with a solve's.
+    ``x``, or ``None`` when ``basis`` is not ``m`` distinct columns of
+    ``[A | I]`` (checked before any indexing), the basis is singular, or
+    ``x_B`` leaves its box by more than the engine's feasibility
+    tolerance. Optimality is not checked: the caller compares the
+    objective with a solve's.
     """
     lb, ub = bounds
     p = _Program(np.zeros(A.shape[1]), A, b, lb, ub, max_iter=0)
-    if not p.load_basis(basis):
+    basis = np.asarray(basis, dtype=int)
+    if not (valid_basis(basis, p.m, p.n + p.m) and p.load_basis(basis)):
         return None
     up = np.asarray(at_upper, dtype=bool) & (p.vstat != _BASIC)
     p.vstat[up & np.isfinite(p.ub)] = _AT_UPPER
@@ -574,7 +601,7 @@ def _dual_feasible(p: _Program) -> bool:
     at_lo = free & (p.vstat == _AT_LOWER)
     at_up = free & (p.vstat == _AT_UPPER)
     return not (
-        np.any(d[at_lo] > _DUAL_TOL) or np.any(d[at_up] < -_DUAL_TOL)
+        (d[at_lo] > _DUAL_TOL).any() or (d[at_up] < -_DUAL_TOL).any()
     )
 
 
@@ -655,9 +682,9 @@ def revised_solve(
         ub = np.array(
             [np.inf if bo[1] is None else bo[1] for bo in bounds], dtype=float
         )
-    if np.any(~np.isfinite(lb)):
+    if not np.isfinite(lb).all():
         raise SolverError("revised_solve requires finite lower bounds")
-    if np.any(ub < lb - _OPT_TOL):
+    if (ub < lb - _OPT_TOL).any():
         return RevisedResult(status="infeasible")
 
     p = _Program(c, A, b, lb, ub, max_iter)
@@ -666,25 +693,20 @@ def revised_solve(
     # -- warm start: classify the carried basis ------------------------
     if initial_basis is not None and m > 0:
         basis = np.asarray(initial_basis, dtype=int).ravel()
-        usable = (
-            basis.shape == (m,)
-            and np.unique(basis).size == m
-            and (basis.min() >= 0 and basis.max() < n + m)
-        )
-        loaded = False
-        if usable:
-            if initial_lu is not None and initial_lu.matches(A, basis):
-                p.adopt_basis(initial_lu)
-                loaded = True
-            else:
-                loaded = p.load_basis(basis)
+        if initial_lu is not None and initial_lu.matches(A, basis):
+            # the carried LU factorizes exactly this basis, so the basis
+            # is valid by construction
+            p.adopt_basis(initial_lu)
+            loaded = True
+        else:
+            loaded = valid_basis(basis, m, n + m) and p.load_basis(basis)
         if loaded:
             if initial_at_upper is not None:
                 up = np.asarray(initial_at_upper, dtype=bool).ravel()
                 if up.shape == (n + m,):
                     sel = up & (p.vstat != _BASIC) & np.isfinite(p.ub)
                     p.vstat[sel] = _AT_UPPER
-            if np.any(p.fixed[p.lu.basis]):
+            if p.fixed[p.lu.basis].any():
                 loaded = _eject_fixed_basics(p) == "ok"
         if loaded:
             violations = _count_primal_violations(p)

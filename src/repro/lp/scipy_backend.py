@@ -30,7 +30,9 @@ def solve_lp_scipy(instance: LPInstance) -> LPSolution:
     With a build cache active (every :class:`repro.api.Solver` call
     installs its own), an instance whose content was solved before is a
     memo hit: the same ``x`` (a fresh copy) and value, bitwise, without
-    calling HiGHS. Failed solves are never memoized.
+    calling HiGHS; a concurrent call on the same content waits for the
+    first one's answer instead of solving it again. Failed solves are
+    never memoized.
 
     Raises
     ------
@@ -38,12 +40,25 @@ def solve_lp_scipy(instance: LPInstance) -> LPSolution:
         Mapped from the HiGHS status codes.
     """
     cache = active_build_cache()
-    if cache is not None:
-        key = cache.solution_key(instance)
-        memo = cache.fetch_solution(key)
-        if memo is not None:
-            x, value = memo
-            return LPSolution(x=x, value=value, index=instance.index)
+    if cache is None:
+        x, value = _highs(instance)
+        return LPSolution(x=x, value=value, index=instance.index)
+    key = cache.solution_key(instance)
+    memo = cache.fetch_solution(key)
+    if memo is not None:
+        x, value = memo
+        return LPSolution(x=x, value=value, index=instance.index)
+    try:
+        x, value = _highs(instance)
+    except BaseException:
+        cache.release(key)
+        raise
+    cache.store_solution(key, x, value)
+    return LPSolution(x=x, value=value, index=instance.index)
+
+
+def _highs(instance: LPInstance) -> "tuple[np.ndarray, float]":
+    """One HiGHS solve: the optimal ``(x, value)``, or the mapped error."""
     result = linprog(
         c=-instance.obj,  # linprog minimises
         A_ub=instance.A_ub,
@@ -59,8 +74,4 @@ def solve_lp_scipy(instance: LPInstance) -> LPSolution:
         raise SolverError(
             f"LP solver failed (status {result.status}): {result.message}"
         )
-    x = np.asarray(result.x, dtype=float)
-    value = float(-result.fun)
-    if cache is not None:
-        cache.store_solution(key, x, value)
-    return LPSolution(x=x, value=value, index=instance.index)
+    return np.asarray(result.x, dtype=float), float(-result.fun)

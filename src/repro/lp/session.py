@@ -227,6 +227,9 @@ class LPSession:
         #: solve carries the same basis, its load-time refactorization is
         #: skipped entirely
         self._lu = None
+        #: canonicalization weights and the ``ub`` finiteness mask (as
+        #: bytes) they were built for: a pin chain never rebuilds them
+        self._weights = self._weights_key = None
 
     # ------------------------------------------------------------------
     @property
@@ -379,7 +382,7 @@ class LPSession:
             initial_basis=init,
             initial_at_upper=init_up,
             initial_lu=lu,
-            canon_weights=_canon_weights(inst.ub, self.canon == "all"),
+            canon_weights=self._box_weights(),
         )
         self.stats.iterations += res.iterations
         self.stats.dual_steps += res.dual_steps
@@ -400,6 +403,19 @@ class LPSession:
             value=float(res.value),
             index=inst.index,
         )
+
+    def _box_weights(self) -> np.ndarray:
+        """:func:`_canon_weights` of the current box, rebuilt only when
+        the finiteness of ``ub`` changed since the last solve."""
+        ub = self.instance.ub
+        if self.canon == "all":
+            return _canon_weights(ub, all_columns=True)
+        key = np.isfinite(ub).tobytes()
+        if key != self._weights_key:
+            self._weights = _canon_weights(ub)
+            self._weights.flags.writeable = False
+            self._weights_key = key
+        return self._weights
 
     def _fallback_scipy(self) -> LPSolution:
         """Cold HiGHS rescue after a numerically stuck simplex run."""
@@ -459,7 +475,7 @@ class LPSession:
             return None
         pivoted = np.zeros(m, dtype=bool)
         if between.size:
-            forced = self._A.gather(between).toarray()
+            forced = self._A.dense(between)
             perm, _, U = scipy.linalg.lu(forced[tight], p_indices=True)
             scale = np.maximum(1.0, np.abs(forced).max(axis=0))
             if np.any(np.abs(np.diag(U)) <= _RANK_TOL * scale):
@@ -480,14 +496,14 @@ class LPSession:
     def _basis_arrays(
         basis: Basis, n: int, m: int
     ) -> "tuple[np.ndarray | None, np.ndarray | None]":
-        """Validate a token: ``(basis columns, at_upper mask)``, or
-        ``(None, None)`` — one cold start — for a token of the wrong size
-        or with repeated columns."""
+        """A token's ``(basis columns, at_upper mask)``, or ``(None,
+        None)`` — one cold start — for a token of the wrong size.
+
+        Only the sizes are checked here. Whether the columns are ``m``
+        distinct columns in range is checked in O(n + m) by the engine
+        (:func:`repro.lp.basis_lu.valid_basis`), before any indexing,
+        and not at all when the carried LU already factorizes them."""
         cols = basis.columns
-        if (
-            cols.shape != (m,)
-            or basis.at_upper.shape != (n + m,)
-            or np.unique(cols).size != m
-        ):
+        if cols.shape != (m,) or basis.at_upper.shape != (n + m,):
             return None, None
         return cols, basis.at_upper

@@ -10,11 +10,16 @@ value-transparent under contention, not just under sequential repeats.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import repro.lp.builder as builder_mod
+import repro.lp.scipy_backend as scipy_backend_mod
 from repro import PlatformSpec, SteadyStateProblem, generate_platform
 from repro.api import Solver, SolverConfig
 from repro.lp.builder import LPBuildCache
@@ -136,3 +141,105 @@ def test_index_adoption_threadsafe_for_equal_platforms():
         for signature in pool.map(run, copies):
             assert signature == reference
     assert solver.state.lp_cache.stats()["templates"] == 1
+
+
+def _equal_copies() -> "list[SteadyStateProblem]":
+    """``N_THREADS`` equal-but-distinct copies of one K=5 problem."""
+    spec = PlatformSpec(
+        n_clusters=5, connectivity=0.7, heterogeneity=0.3,
+        mean_g=250.0, mean_bw=30.0, mean_max_connect=10.0,
+    )
+    return [
+        SteadyStateProblem(generate_platform(spec, rng=7), objective="maxmin")
+        for _ in range(N_THREADS)
+    ]
+
+
+def _first_solves_at_once(solver, problems):
+    """Solve each problem on its own daemon thread, all released by one
+    barrier under a 1 us switch interval; returns each thread's
+    signature or exception. Fails if a thread is still blocked after a
+    minute (a stranded waiter)."""
+    barrier = threading.Barrier(len(problems))
+    outcomes = [None] * len(problems)
+
+    def run(i):
+        barrier.wait()
+        try:
+            outcomes[i] = _signature(solver.solve(problems[i], rng=0))
+        except Exception as exc:  # noqa: BLE001 - recorded for the assert
+            outcomes[i] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(i,), daemon=True)
+        for i in range(len(problems))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads), "stranded waiter"
+    return outcomes
+
+
+def test_concurrent_first_solves_build_and_solve_once():
+    """The build cache is single-flight: eight threads solving copies of
+    one platform on one fresh ``Solver`` assemble program (7) once and
+    call HiGHS once, on every repeat."""
+    reference = _signature(
+        Solver(SolverConfig(method="lprg")).solve(_equal_copies()[0], rng=0)
+    )
+    for _ in range(20):
+        solver = Solver(SolverConfig(method="lprg"))
+        outcomes = _first_solves_at_once(solver, _equal_copies())
+        assert outcomes == [reference] * N_THREADS
+        stats = solver.state.lp_cache.stats()
+        assert stats["cold_builds"] == 1
+        assert stats["build_hits"] == N_THREADS - 1
+        assert stats["solution_hits"] == N_THREADS - 1
+
+
+@pytest.mark.parametrize("stage", ["build", "highs"])
+def test_failed_first_producer_strands_no_waiter(monkeypatch, stage):
+    """When the thread producing a template (or a HiGHS optimum) fails,
+    its waiters wake, nothing is memoized, and one of them produces the
+    entry for the rest."""
+    reference = _signature(
+        Solver(SolverConfig(method="lprg")).solve(_equal_copies()[0], rng=0)
+    )
+    owner, name = (
+        (builder_mod, "_assemble") if stage == "build"
+        else (scipy_backend_mod, "_highs")
+    )
+    produce = getattr(owner, name)
+    calls = []
+    lock = threading.Lock()
+
+    def fail_first(*args):
+        with lock:
+            calls.append(threading.get_ident())
+            first = len(calls) == 1
+        if first:
+            time.sleep(0.1)  # let the other threads queue up behind it
+            raise RuntimeError("injected first-producer failure")
+        return produce(*args)
+
+    monkeypatch.setattr(owner, name, fail_first)
+    solver = Solver(SolverConfig(method="lprg"))
+    outcomes = _first_solves_at_once(solver, _equal_copies())
+    failed = [o for o in outcomes if isinstance(o, Exception)]
+    assert len(failed) == 1 and "injected" in str(failed[0])
+    assert [o for o in outcomes if o is not failed[0]] == (
+        [reference] * (N_THREADS - 1)
+    )
+    assert len(calls) == 2  # the failed producer and its one successor
+    stats = solver.state.lp_cache.stats()
+    assert stats["solution_hits"] == N_THREADS - 2
+    if stage == "build":
+        assert stats["cold_builds"] == 1
+        assert stats["build_hits"] == N_THREADS - 2

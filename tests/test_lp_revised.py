@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scipy.sparse.linalg import splu
+
 from repro import build_scenario
-from repro.lp.basis_lu import LUBasis, SingularBasisError
+from repro.heuristics.base import get_heuristic
+from repro.lp import basis_lu
+from repro.lp.basis_lu import (
+    ExtendedMatrix, LUBasis, SingularBasisError, valid_basis,
+)
 from repro.lp.builder import build_lp
 from repro.lp.revised import (
     _AT_LOWER, _AT_UPPER, _BASIC, _Program, revised_solve,
@@ -67,6 +73,47 @@ class TestLUBasis:
         assert lu.n_updates == lu.updates_since_refactor + 0  # file grew
         lu.refactorize()
         assert lu.updates_since_refactor == 0
+
+    def test_eta_loops_match_the_reference_arithmetic(self):
+        """FTRAN and BTRAN through an eta file return bitwise what the
+        textbook loops return: the pivot read from the eta column on
+        every use, the dot product through the ``@`` operator."""
+        A, basis = self._random_system(3)
+        m, n = A.shape
+        lu = LUBasis(A, basis, refactor_every=64)
+        rng = np.random.default_rng(7)
+        etas = []
+        while len(etas) < 6:
+            r = int(rng.integers(m))
+            j = int(rng.choice(np.setdiff1d(np.arange(n + m), lu.basis)))
+            w = lu.ftran(lu.column(j))
+            if abs(w[r]) < 1e-3:
+                continue
+            lu.replace_column(r, j, w)
+            etas.append((r, w.copy()))
+            assert lu.updates_since_refactor == len(etas)
+
+        def ftran(v):
+            x = lu._lu.solve(v)
+            for r, w in etas:
+                t = x[r] / w[r]
+                if t != 0.0:
+                    x -= w * t
+                x[r] = t
+            return x
+
+        def btran(v):
+            y = np.array(v, dtype=float, copy=True)
+            for r, w in reversed(etas):
+                yr = y[r]
+                y[r] = (yr - (w @ y - w[r] * yr)) / w[r]
+            return lu._lu.solve(y, trans="T")
+
+        for _ in range(20):
+            v = rng.normal(size=m) * 10.0 ** rng.uniform(-6, 6, m)
+            v[rng.random(m) < 0.3] = 0.0
+            assert lu.ftran(v).tobytes() == ftran(v).tobytes()
+            assert lu.btran(v).tobytes() == btran(v).tobytes()
 
     def test_refactor_every_bounds_eta_file(self):
         A, basis = self._random_system(5)
@@ -424,3 +471,136 @@ class TestSparseKernelEdgeCases:
                 solves += 1
             assert session.stats.n_fallback == 0
         assert solves == 160
+
+
+def _public_factorization_verdict(ext, basis) -> bool:
+    """The singular check of ``LUBasis`` written with scipy's public API
+    only (``splu`` on a ``csc_matrix``, ``U.diagonal()``): True when the
+    basis factorizes."""
+    m = ext.m
+    B = sp.csc_matrix(ext.gather(basis), shape=(m, m))
+    try:
+        lu = splu(B, relax=1, panel_size=1)
+    except RuntimeError:
+        return False
+    if not m:
+        return True
+    diag = np.abs(lu.U.diagonal())
+    return bool(
+        np.all(np.isfinite(B.data)) and np.all(np.isfinite(lu.U.data))
+        and diag.min() > basis_lu._SINGULAR_TOL * max(1.0, diag.max())
+    )
+
+
+class TestKernelAdapter:
+    """``repro.lp.basis_lu`` calls SuperLU and the sparse mat-vec kernels
+    below scipy's public API. Each adapter function must return bitwise
+    what its public twin returns, on the bases program (7) really
+    factorizes; a scipy release that changes a kernel fails here."""
+
+    @pytest.fixture(scope="class")
+    def chain_bases(self):
+        """Every basis an LPRR chain factorizes on two K=6 platforms
+        (loads, eta overflows and end-of-solve refactorizations), with
+        the extended matrix it was gathered from."""
+        from repro import PlatformSpec, SteadyStateProblem, generate_platform
+
+        spec = PlatformSpec(
+            n_clusters=6, connectivity=0.7, heterogeneity=0.5, mean_g=200.0,
+            mean_bw=30.0, mean_max_connect=10.0, speed_heterogeneity=0.5,
+        )
+        seen = []
+        factorize = LUBasis._factorize
+
+        def record(self):
+            seen.append((self._ext, self.basis.copy()))
+            factorize(self)
+
+        LUBasis._factorize = record
+        try:
+            for seed in (0, 1):
+                problem = SteadyStateProblem(
+                    generate_platform(spec, rng=seed), objective="maxmin"
+                )
+                get_heuristic("lprr").run(problem, rng=seed)
+        finally:
+            LUBasis._factorize = factorize
+        assert len(seen) > 50
+        return seen
+
+    def test_factorization_matches_splu_bitwise(self, chain_bases):
+        rng = np.random.default_rng(0)
+        for ext, basis in chain_bases[::3]:
+            m = ext.m
+            data, indices, indptr = ext.gather(basis)
+            public = splu(
+                sp.csc_matrix((data, indices, indptr), shape=(m, m)),
+                relax=1, panel_size=1,
+            )
+            raw = basis_lu.splu_arrays(data, indices, indptr)
+            np.testing.assert_array_equal(raw.perm_r, public.perm_r)
+            np.testing.assert_array_equal(raw.perm_c, public.perm_c)
+            for factor, twin in ((raw.L, public.L), (raw.U, public.U)):
+                f_data, f_indices, f_indptr = factor
+                nnz = f_indptr[-1]
+                np.testing.assert_array_equal(f_indptr, twin.indptr)
+                np.testing.assert_array_equal(f_indices[:nnz], twin.indices)
+                assert f_data[:nnz].tobytes() == twin.data.tobytes()
+            assert (
+                basis_lu.csc_diagonal(m, *raw.U).tobytes()
+                == public.U.diagonal().tobytes()
+            )
+            v = rng.normal(size=m)
+            for trans in ("N", "T"):
+                assert (
+                    raw.solve(v, trans=trans).tobytes()
+                    == public.solve(v, trans=trans).tobytes()
+                )
+
+    def test_matvecs_match_sparse_operators_bitwise(self, chain_bases):
+        rng = np.random.default_rng(1)
+        for ext in {id(e): e for e, _ in chain_bases}.values():
+            m, n = ext.m, ext.n
+            arrays = (ext.data, ext.indices, ext.indptr)
+            cols = sp.csc_matrix(arrays, shape=(m, n + m))
+            rows = sp.csr_matrix(arrays, shape=(n + m, m))
+            for _ in range(5):
+                x = rng.normal(size=n + m) * 10.0 ** rng.uniform(-8, 8, n + m)
+                y = rng.normal(size=m) * 10.0 ** rng.uniform(-8, 8, m)
+                assert ext.matvec(x).tobytes() == (cols @ x).tobytes()
+                assert ext.rmatvec(y).tobytes() == (rows @ y).tobytes()
+
+    def test_gathered_blocks_match_column_slices(self, chain_bases):
+        ext, basis = chain_bases[-1]
+        cols = sp.csc_matrix(
+            (ext.data, ext.indices, ext.indptr), shape=(ext.m, ext.n + ext.m)
+        )
+        np.testing.assert_array_equal(
+            ext.dense(basis), cols[:, basis].toarray()
+        )
+
+    def test_singular_verdicts_match_the_public_check(self, chain_bases):
+        # program-(7) bases (all factorize) ...
+        cases = [(ext, basis) for ext, basis in chain_bases[::7]]
+        # ... an exactly singular, a near-singular and a well-separated
+        # pair, and a basis over a matrix with a non-finite entry
+        for A in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 1.0], [1.0, 1.0 + 1e-13]],
+                  [[1.0, 1.0], [1.0, 1.0 + 1e-9]], [[np.inf, 0.0], [0.0, 1.0]]):
+            cases.append((ExtendedMatrix(np.array(A)), np.array([0, 1])))
+        verdicts = set()
+        for ext, basis in cases:
+            try:
+                LUBasis(ext, basis)
+                factorizes = True
+            except SingularBasisError:
+                factorizes = False
+            assert factorizes == _public_factorization_verdict(ext, basis)
+            verdicts.add(factorizes)
+        assert verdicts == {True, False}
+
+    def test_valid_basis_rejects_every_misfit_before_indexing(self):
+        assert valid_basis(np.array([0, 4, 2]), 3, 5)
+        assert valid_basis(np.array([], dtype=int), 0, 5)
+        for bad in ([0, 4], [0, 4, 2, 1], [0, 5, 2], [0, -1, 2], [0, 2, 2],
+                    [[0, 4, 2]]):
+            assert not valid_basis(np.array(bad), 3, 5), bad

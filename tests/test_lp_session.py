@@ -672,6 +672,52 @@ class TestBasisRead:
         session.set_rhs([row], inst.b_ub[row] - 2.0 * slack[row])
         assert session.read(basis) is None
 
+    @staticmethod
+    def _malformed_tokens(basis: Basis, n_cols: int) -> dict:
+        """Tokens whose columns are not ``m`` distinct columns of
+        ``[A | I]``: one column past the end, a negative column (numpy
+        would wrap it), a repeated column, and the wrong count."""
+        def edited(position, value):
+            columns = basis.columns.copy()
+            columns[position] = value
+            return Basis(columns, basis.at_upper)
+
+        return {
+            "past the end": edited(0, n_cols),
+            "far past the end": edited(-1, 10 * n_cols),
+            "negative": edited(0, -1),
+            "repeated": edited(0, basis.columns[1]),
+            "too few": Basis(basis.columns[:-1], basis.at_upper),
+            "too many": Basis(
+                np.append(basis.columns, basis.columns[0]), basis.at_upper
+            ),
+        }
+
+    def test_read_of_a_malformed_token_is_none(self, problem_factory):
+        session = LPSession(build_lp(problem_factory(seed=2, n_clusters=4)))
+        session.solve()
+        m, n = session.instance.A_ub.shape
+        for kind, token in self._malformed_tokens(
+            session.last_basis, n + m
+        ).items():
+            assert session.read(token) is None, kind
+
+    def test_solve_from_a_malformed_token_starts_cold_once(self, problem_factory):
+        inst = build_lp(problem_factory(seed=2, n_clusters=4))
+        session = LPSession(inst)
+        reference = session.solve(warm_basis=None)
+        m, n = inst.A_ub.shape
+        for kind, token in self._malformed_tokens(
+            session.last_basis, n + m
+        ).items():
+            before = session.stats.as_dict()
+            solution = session.solve(warm_basis=token)
+            after = session.stats.as_dict()
+            assert after["n_solves"] == before["n_solves"] + 1, kind
+            assert after["n_cold"] == before["n_cold"] + 1, kind
+            assert after["n_warm"] == before["n_warm"], kind
+            assert after["n_fallback"] == 0, kind
+            np.testing.assert_array_equal(solution.x, reference.x)
 
     def test_support_token_reads_its_point_back(self, problem_factory):
         """The token of a session optimum, and of the HiGHS optimum of
