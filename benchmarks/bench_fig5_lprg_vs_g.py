@@ -8,6 +8,7 @@ Paper claims reproduced (shapes, not absolute values):
 * both heuristics score lower on MAXMIN than on SUM at large K.
 """
 
+from repro.api import Solver, SolverConfig
 from repro.experiments import figure5, render_figure
 
 from benchmarks.conftest import banner, sweep_jobs
@@ -21,7 +22,8 @@ def test_figure5(benchmark, scale):
             settings_per_k=scale["fig5_settings_per_k"],
             platforms_per_setting=scale["fig5_platforms"],
             rng=7,
-            jobs=sweep_jobs(),  # campaign engine: identical output
+            # campaign engine: identical output for any jobs
+            solver=Solver(SolverConfig(jobs=sweep_jobs())),
         ),
         rounds=1,
         iterations=1,

@@ -25,6 +25,10 @@ The dump holds, keyed by a readable path:
   iterated LPRG on scipy and branch-and-bound cold;
 * the tables of a streamed K=4/6 sweep, without ``runtime_mean_by_k``
   (wall clock);
+* a ``figures/`` leg: every series and note of ``figure5`` (K=4, 6) and
+  ``figure6`` (K=4), one setting per K, one platform, ``rng=0``, each
+  in memory and streamed; of ``figure7`` (K=4, 6) only the series
+  labels and K values, because its values are wall-clock times;
 * a Figure 7 leg: LPRR and LPRR-eq on two K=8 and two K=12 platforms
   drawn the way Figure 7 draws them (Table 1 grid points with
   connectivity 0.6-0.8);
@@ -67,6 +71,8 @@ VARIANTS = (
     ("lprg-it", {"lp_backend": "scipy"}),
     ("bnb", {"warm_start": False}),
 )
+#: the figure generators' scale: one setting per K, one platform
+FIGURE_SCALE = dict(settings_per_k=1, platforms_per_setting=1, rng=0)
 
 
 def _plain(value):
@@ -132,6 +138,35 @@ def _fig7_problems():
         yield f"k{setting.k}-{i}", SteadyStateProblem(platform, payoffs)
 
 
+def _figures() -> dict:
+    """The ``figures/`` leg, in memory and streamed."""
+    from repro import Solver, SolverConfig
+    from repro.experiments import figure5, figure6, figure7
+
+    out: dict = {}
+    for stream in (False, True):
+        mode = "stream" if stream else "memory"
+        for name, generator, k_values in (
+            ("figure5", figure5, (4, 6)),
+            ("figure6", figure6, (4,)),
+        ):
+            fig = generator(
+                k_values=k_values,
+                solver=Solver(SolverConfig(stream=stream)),
+                **FIGURE_SCALE,
+            )
+            out[f"figures/{name}/{mode}"] = _plain(
+                {"series": fig.series, "notes": fig.notes}
+            )
+        fig = figure7(
+            k_values=(4, 6), solver=Solver(SolverConfig(stream=stream)), **FIGURE_SCALE
+        )
+        out[f"figures/figure7/{mode}"] = {
+            label: [k for k, _ in points] for label, points in fig.series.items()
+        }
+    return out
+
+
 def dump() -> dict:
     import repro
     from repro import Solver, SolverConfig, build_scenario
@@ -170,6 +205,7 @@ def dump() -> dict:
     ).tables()
     tables.pop("runtime_mean_by_k", None)
     out["sweep/k4-6"] = _plain(tables)
+    out.update(_figures())
 
     for tag, problem in _fig7_problems():
         for method in FIG7_METHODS:

@@ -57,7 +57,9 @@ wall-clock time, never a single float.
 
 Legacy one-call forms (``solve``, ``solve_many``,
 ``repro.experiments.run_sweep``) remain as thin shims over the facade
-with bitwise-identical output.
+with bitwise-identical output. They are leaves: no package module calls
+them, and every sweep and batch inside the package goes through a
+:class:`Solver`.
 """
 
 from repro.api import (

@@ -16,7 +16,8 @@ solves of related instances stop cold-starting; the scenario registry
 names platform/application scenarios the same way the heuristic
 registry names methods. The legacy entry points —
 ``repro.solve``, ``repro.solve_many``, ``repro.experiments.run_sweep``
-— remain as thin shims over this package with bitwise-identical output.
+— remain as thin shims over this package with bitwise-identical output;
+they are leaves that no package module calls.
 """
 
 from repro.api.config import (

@@ -29,6 +29,7 @@ independent solves, so ``Solver(cfg).solve(p)`` equals the legacy
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from contextlib import contextmanager
@@ -87,6 +88,24 @@ class SolverState:
         return out
 
 
+@dataclasses.dataclass(frozen=True)
+class _SolveTask:
+    """One instance of a :meth:`Solver.solve_many` batch: the problem,
+    its private seed and the batch config (telemetry off: the batch's
+    own solver observes the batch)."""
+
+    problem: "SteadyStateProblem"
+    seed: np.random.SeedSequence
+    config: SolverConfig
+
+
+def _run_solve_task(task: _SolveTask) -> SolveReport:
+    """Picklable engine worker for one batched solve."""
+    return Solver(task.config).solve(
+        task.problem, rng=np.random.default_rng(task.seed)
+    )
+
+
 class Solver:
     """Configured, stateful entry point to every algorithm.
 
@@ -135,8 +154,6 @@ class Solver:
     def engine(self) -> CampaignEngine:
         """The lazily created campaign engine for batched execution."""
         if self._engine is None:
-            from repro.parallel.batch import _run_solve_task
-
             with self.state._lock:
                 if self._engine is None:
                     self._engine = CampaignEngine(
@@ -259,9 +276,6 @@ class Solver:
         ``None`` entry draws fresh entropy for that instance (the
         single-solve default).
         """
-        from repro.parallel.batch import _SolveTask
-        from repro.util.errors import SolverError
-
         problems = [self._problem_for(p) for p in problems]
         if seeds is not None:
             if rng is not None:
@@ -280,14 +294,11 @@ class Solver:
             ]
         else:
             seed_seqs = spawn_seed_sequences(self._rng_for(rng), len(problems))
-        kwargs = self.config.method_kwargs()
+        config = self.config
+        if config.telemetry is not None:
+            config = dataclasses.replace(config, telemetry=None)
         tasks = [
-            _SolveTask(
-                problem=p,
-                method=self.config.method,
-                seed=s,
-                kwargs=dict(kwargs),
-            )
+            _SolveTask(problem=p, seed=s, config=config)
             for p, s in zip(problems, seed_seqs)
         ]
         self.state.record_solves(len(problems))

@@ -74,45 +74,6 @@ def plan_shards(n_tasks: int, n_shards: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _setting_to_dict(setting: "Setting") -> dict:
-    return setting.as_dict()
-
-
-def _setting_from_dict(data: dict) -> "Setting":
-    from repro.experiments.config import Setting
-
-    return Setting(
-        k=int(data["K"]),
-        connectivity=float(data["connectivity"]),
-        heterogeneity=float(data["heterogeneity"]),
-        mean_g=float(data["mean_g"]),
-        mean_bw=float(data["mean_bw"]),
-        mean_maxcon=float(data["mean_maxcon"]),
-    )
-
-
-def _scenario_to_dict(scenario: "Scenario") -> dict:
-    return {
-        "speed": scenario.speed,
-        "apply_speed_heterogeneity": scenario.apply_speed_heterogeneity,
-        "payoff_low": scenario.payoff_low,
-        "payoff_high": scenario.payoff_high,
-        "platforms_per_setting": scenario.platforms_per_setting,
-    }
-
-
-def _scenario_from_dict(data: dict) -> "Scenario":
-    from repro.experiments.config import Scenario
-
-    return Scenario(
-        speed=float(data["speed"]),
-        apply_speed_heterogeneity=bool(data["apply_speed_heterogeneity"]),
-        payoff_low=float(data["payoff_low"]),
-        payoff_high=float(data["payoff_high"]),
-        platforms_per_setting=int(data["platforms_per_setting"]),
-    )
-
-
 def _seed_to_dict(root: np.random.SeedSequence) -> dict:
     entropy = root.entropy
     return {
@@ -222,10 +183,12 @@ class ShardManifest:
     def rebuild_sweep(self) -> dict:
         """The campaign definition as live objects (settings, scenario,
         methods, objectives, n_platforms, root seed)."""
+        from repro.experiments.config import Scenario, Setting
+
         campaign = self.campaign
         return {
-            "settings": [_setting_from_dict(s) for s in campaign["settings"]],
-            "scenario": _scenario_from_dict(campaign["scenario"]),
+            "settings": [Setting.from_dict(s) for s in campaign["settings"]],
+            "scenario": Scenario.from_dict(campaign["scenario"]),
             "methods": tuple(campaign["methods"]),
             "objectives": tuple(campaign["objectives"]),
             "n_platforms": int(campaign["n_platforms"]),
@@ -353,8 +316,8 @@ def build_shard_manifests(
         settings, scenario, methods, objectives, n_platforms, root
     )
     campaign = {
-        "settings": [_setting_to_dict(s) for s in settings],
-        "scenario": _scenario_to_dict(scenario),
+        "settings": [s.as_dict() for s in settings],
+        "scenario": scenario.as_dict(),
         "methods": list(methods),
         "objectives": list(objectives),
         "n_platforms": int(n_platforms),

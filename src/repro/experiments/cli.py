@@ -643,12 +643,7 @@ def main(argv: "list[str] | None" = None) -> int:
             settings_per_k=args.settings_per_k,
             platforms_per_setting=args.platforms,
             rng=args.seed,
-            jobs=args.jobs,
-            stream=args.stream,
-            row_sink=args.row_sink,
-            shards=args.shards,
-            shard_backend=args.shard_backend,
-            shard_dir=args.shard_dir,
+            solver=_sweep_solver(args),
         )
         print(render_figure(fig))
     elif args.command == "figure6":
@@ -657,12 +652,7 @@ def main(argv: "list[str] | None" = None) -> int:
             settings_per_k=args.settings_per_k,
             platforms_per_setting=args.platforms,
             rng=args.seed,
-            jobs=args.jobs,
-            stream=args.stream,
-            row_sink=args.row_sink,
-            shards=args.shards,
-            shard_backend=args.shard_backend,
-            shard_dir=args.shard_dir,
+            solver=_sweep_solver(args),
         )
         print(render_figure(fig))
     elif args.command == "figure7":
@@ -670,12 +660,7 @@ def main(argv: "list[str] | None" = None) -> int:
             k_values=tuple(args.k),
             include_lprr=not args.no_lprr,
             rng=args.seed,
-            jobs=args.jobs,
-            stream=args.stream,
-            row_sink=args.row_sink,
-            shards=args.shards,
-            shard_backend=args.shard_backend,
-            shard_dir=args.shard_dir,
+            solver=_sweep_solver(args),
         )
         print(render_figure(fig))
     elif args.command == "headline":

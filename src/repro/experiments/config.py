@@ -68,6 +68,25 @@ class Setting:
             "mean_maxcon": self.mean_maxcon,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Setting":
+        """Inverse of :meth:`as_dict` (``k`` is accepted for ``K``).
+
+        A missing field raises ``KeyError``, a field that is not a
+        number ``ValueError`` naming it, and a ``data`` that is not a
+        dict ``TypeError``.
+        """
+        if not isinstance(data, dict):
+            raise TypeError(f"a setting must be a dict, got {data!r}")
+        return cls(
+            k=_number(data, "K" if "K" in data else "k", int),
+            connectivity=_number(data, "connectivity", float),
+            heterogeneity=_number(data, "heterogeneity", float),
+            mean_g=_number(data, "mean_g", float),
+            mean_bw=_number(data, "mean_bw", float),
+            mean_maxcon=_number(data, "mean_maxcon", float),
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
@@ -98,6 +117,39 @@ class Scenario:
         if self.payoff_high == self.payoff_low:
             return np.full(k, self.payoff_low)
         return rng.uniform(self.payoff_low, self.payoff_high, size=k)
+
+    def as_dict(self) -> dict:
+        return {key: getattr(self, key) for key in _SCENARIO_CASTS}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Scenario":
+        """Inverse of :meth:`as_dict`: a missing key takes its default,
+        an unknown key raises ``ValueError``, and so does a value the
+        key's type cannot hold."""
+        unknown = sorted(set(data) - set(_SCENARIO_CASTS))
+        if unknown:
+            raise ValueError(f"unknown scenario key(s) {unknown}")
+        return cls(**{key: _number(data, key, _SCENARIO_CASTS[key]) for key in data})
+
+
+#: the :class:`Scenario` dict format: key -> type, in field order
+_SCENARIO_CASTS = {
+    "speed": float,
+    "apply_speed_heterogeneity": bool,
+    "payoff_low": float,
+    "payoff_high": float,
+    "platforms_per_setting": int,
+}
+
+
+def _number(data: dict, key: str, cast):
+    """``cast(data[key])``; a value it cannot convert raises a
+    ``ValueError`` naming ``key``."""
+    value = data[key]
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key!r} must be a number, got {value!r}") from None
 
 
 #: the calibrated default scenario (see EXPERIMENTS.md)

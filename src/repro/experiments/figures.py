@@ -7,13 +7,17 @@ an ASCII plot. Scale knobs (``platforms_per_k``, K lists) default to
 laptop-friendly values; benchmarks pass larger ones under
 ``REPRO_FULL=1``.
 
-Every generator takes ``stream=True`` to run its sweep through the
-streaming aggregation subsystem (:mod:`repro.parallel.stream`): series
-come from the constant-size accumulators instead of a materialised row
-list (``FigureData.rows`` stays empty; pass ``row_sink`` to divert the
-raw rows to disk). The in-memory path remains the default and the
-bitwise reference; streamed means agree with it to float rounding
-(Welford vs ``np.mean``).
+Every generator runs its sweep through ``solver.sweep`` (a
+:class:`repro.api.Solver`, default ``Solver()``), so the execution knobs
+(``jobs``, ``stream``, ``row_sink``, ``shards``, ...) come from
+``solver.config``, the one place they live. With ``stream=True`` the
+series come from the streaming aggregation subsystem's constant-size
+accumulators (:mod:`repro.parallel.stream`) instead of a materialised
+row list (``FigureData.rows`` stays empty; ``row_sink`` diverts the raw
+rows to disk). The in-memory path remains the default and the bitwise
+reference; streamed means agree with it to float rounding (Welford vs
+``np.mean``). The legacy ``run_sweep`` shim is a leaf that no package
+module calls.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.api import Solver
 from repro.experiments.aggregate import (
     headline_ratios,
     lpr_failure_stats,
@@ -33,7 +38,6 @@ from repro.experiments.config import (
     Setting,
     sample_settings,
 )
-from repro.experiments.runner import ExperimentRow, run_sweep
 from repro.util.rng import ensure_rng
 
 
@@ -79,12 +83,7 @@ def figure5(
     platforms_per_setting: int = 3,
     scenario: Scenario = DEFAULT_SCENARIO,
     rng=None,
-    jobs: int = 1,
-    stream: bool = False,
-    row_sink=None,
-    shards: int = 1,
-    shard_backend: str = "process",
-    shard_dir=None,
+    solver: Solver | None = None,
 ) -> FigureData:
     """Figure 5: LPRG and G vs the LP bound as K grows (both objectives).
 
@@ -93,21 +92,17 @@ def figure5(
     plus Section 6.1's headline LPRG/G ratios and LPR failure stats.
     """
     rng = ensure_rng(rng)
+    solver = solver if solver is not None else Solver()
     settings = _settings_for_k_sweep(k_values, settings_per_k, rng)
-    result = run_sweep(
+    result = solver.sweep(
         settings,
         scenario=scenario,
         methods=("greedy", "lpr", "lprg"),
         objectives=("maxmin", "sum"),
         n_platforms=platforms_per_setting,
         rng=rng,
-        jobs=jobs,
-        stream=stream,
-        row_sink=row_sink,
-        shards=shards,
-        shard_backend=shard_backend,
-        shard_dir=shard_dir,
     )
+    stream = solver.config.stream
     fig = FigureData(
         name="figure5",
         title="Figure 5: LPRG and G relative to the LP bound vs K",
@@ -136,12 +131,7 @@ def figure6(
     platforms_per_setting: int = 2,
     scenario: Scenario = DEFAULT_SCENARIO,
     rng=None,
-    jobs: int = 1,
-    stream: bool = False,
-    row_sink=None,
-    shards: int = 1,
-    shard_backend: str = "process",
-    shard_dir=None,
+    solver: Solver | None = None,
 ) -> FigureData:
     """Figure 6: LPRR vs G relative to the LP bound (80-topology study).
 
@@ -149,21 +139,17 @@ def figure6(
     objectives, well above G on MAXMIN.
     """
     rng = ensure_rng(rng)
+    solver = solver if solver is not None else Solver()
     settings = _settings_for_k_sweep(k_values, settings_per_k, rng)
-    result = run_sweep(
+    result = solver.sweep(
         settings,
         scenario=scenario,
         methods=("greedy", "lprr"),
         objectives=("maxmin", "sum"),
         n_platforms=platforms_per_setting,
         rng=rng,
-        jobs=jobs,
-        stream=stream,
-        row_sink=row_sink,
-        shards=shards,
-        shard_backend=shard_backend,
-        shard_dir=shard_dir,
     )
+    stream = solver.config.stream
     fig = FigureData(
         name="figure6",
         title="Figure 6: LPRR and G relative to the LP bound vs K",
@@ -188,12 +174,7 @@ def figure7(
     scenario: Scenario = DEFAULT_SCENARIO,
     include_lprr: bool = True,
     rng=None,
-    jobs: int = 1,
-    stream: bool = False,
-    row_sink=None,
-    shards: int = 1,
-    shard_backend: str = "process",
-    shard_dir=None,
+    solver: Solver | None = None,
 ) -> FigureData:
     """Figure 7: heuristic running time vs K (log scale).
 
@@ -202,22 +183,18 @@ def figure7(
     a factor growing like K^2 (it solves ~K^2 LPs).
     """
     rng = ensure_rng(rng)
+    solver = solver if solver is not None else Solver()
     settings = _settings_for_k_sweep(k_values, settings_per_k, rng)
     methods = ("greedy", "lpr", "lprg") + (("lprr",) if include_lprr else ())
-    result = run_sweep(
+    result = solver.sweep(
         settings,
         scenario=scenario,
         methods=methods,
         objectives=("maxmin",),
         n_platforms=platforms_per_setting,
         rng=rng,
-        jobs=jobs,
-        stream=stream,
-        row_sink=row_sink,
-        shards=shards,
-        shard_backend=shard_backend,
-        shard_dir=shard_dir,
     )
+    stream = solver.config.stream
 
     def _runtime_series(method):
         if stream:

@@ -40,16 +40,8 @@ def row_to_dict(row: ExperimentRow) -> dict:
 
 def row_from_dict(data: dict) -> ExperimentRow:
     """Inverse of :func:`row_to_dict`."""
-    setting = Setting(
-        k=int(data["K"]),
-        connectivity=float(data["connectivity"]),
-        heterogeneity=float(data["heterogeneity"]),
-        mean_g=float(data["mean_g"]),
-        mean_bw=float(data["mean_bw"]),
-        mean_maxcon=float(data["mean_maxcon"]),
-    )
     return ExperimentRow(
-        setting=setting,
+        setting=Setting.from_dict(data),
         replicate=int(data["replicate"]),
         objective=str(data["objective"]),
         method=str(data["method"]),

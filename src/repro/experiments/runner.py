@@ -209,7 +209,8 @@ def run_sweep(
     -----
     Thin shim over :meth:`repro.api.Solver.sweep` (bitwise-identical
     rows); hold a :class:`repro.api.Solver` directly to keep its warm
-    state — and to resolve registered sweep scenarios by name.
+    state — and to resolve registered sweep scenarios by name. The shim
+    is a leaf: no package module calls it.
     """
     from repro.api import Solver, SolverConfig
 

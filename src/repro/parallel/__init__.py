@@ -2,12 +2,13 @@
 
 The package has three layers, each usable on its own:
 
-* :func:`solve_many` — batched front-end to :func:`repro.core.solve.
-  solve`: many independent instances, one call, optional process-pool
-  fan-out, shared LP-index cache for instances on the same platform.
+* :func:`solve_many` — the legacy batched shim over
+  :meth:`repro.api.Solver.solve_many`: many independent instances, one
+  call, optional process-pool fan-out.
 * :class:`CampaignEngine` — generic deterministic task runner
   (chunked scheduling, worker-crash recovery, ``jobs=1`` inline
-  reference path) used by :func:`repro.experiments.runner.run_sweep`.
+  reference path) behind :meth:`repro.api.Solver.sweep` and
+  :meth:`repro.api.Solver.solve_many`.
 * :class:`CampaignCheckpoint` — append-only incremental checkpoint
   store giving interrupted campaigns exact resume.
 * :mod:`repro.parallel.stream` — streaming aggregation: mergeable

@@ -1,53 +1,29 @@
-"""``solve_many``: the batched front-end to :func:`repro.core.solve.solve`.
+"""``solve_many``: the legacy batched front-end, a shim over
+:meth:`repro.api.Solver.solve_many`.
 
 Solving many independent instances is the scaling move for LP-based
 pipelines: a campaign of structurally identical problems (same platform,
 different payoffs/objectives — the shape produced by the experiment
 grid, parameter studies, or per-tenant what-if queries) shares one
-LP-variable index per platform through the
-:func:`repro.lp.indexing.shared_variable_index` cache, and fans out over
-worker processes through the :class:`~repro.parallel.engine.
-CampaignEngine`.
+solver's LP build cache, and fans out over worker processes through the
+:class:`~repro.parallel.engine.CampaignEngine`.
 
 Determinism: each instance receives its own stateless spawn child of the
 batch seed (``rng -> child i`` for problem ``i``), so results are a pure
 function of ``(problems, method, rng)`` — independent of ``jobs``,
 chunking, and scheduling order. ``solve_many(ps, m, rng=s, jobs=4)`` is
 bitwise-equal to ``jobs=1``.
+
+The shim is a leaf: no package module calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
-
-from repro.core.solve import solve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.problem import SteadyStateProblem
     from repro.heuristics.base import HeuristicResult
-
-
-@dataclass(frozen=True)
-class _SolveTask:
-    """One instance of a batch, with its private seed and options."""
-
-    problem: "SteadyStateProblem"
-    method: str
-    seed: np.random.SeedSequence
-    kwargs: dict = field(default_factory=dict)
-
-
-def _run_solve_task(task: _SolveTask) -> "HeuristicResult":
-    """Picklable engine worker for one batched solve."""
-    return solve(
-        task.problem,
-        task.method,
-        rng=np.random.default_rng(task.seed),
-        **task.kwargs,
-    )
 
 
 def solve_many(

@@ -39,7 +39,7 @@ diverged files) is discarded with a warning and the resume falls back
 to plain record replay.
 
 The encoding of task results is pluggable (``encode``/``decode``);
-:func:`repro.experiments.runner.run_sweep` stores lists of
+:meth:`repro.api.Solver.sweep` stores lists of
 :class:`~repro.experiments.runner.ExperimentRow` via
 :mod:`repro.experiments.persistence`.
 """

@@ -121,13 +121,7 @@ def sweep_fingerprint(
     return campaign_fingerprint(
         {
             "settings": [s.as_dict() for s in settings],
-            "scenario": {
-                "speed": scenario.speed,
-                "apply_speed_heterogeneity": scenario.apply_speed_heterogeneity,
-                "payoff_low": scenario.payoff_low,
-                "payoff_high": scenario.payoff_high,
-                "platforms_per_setting": scenario.platforms_per_setting,
-            },
+            "scenario": scenario.as_dict(),
             "methods": list(methods),
             "objectives": list(objectives),
             "n_platforms": n_platforms,

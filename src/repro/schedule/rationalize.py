@@ -16,7 +16,6 @@ denominators whose lcm is astronomically large. Two strategies:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,12 +131,3 @@ def quantize_allocation(
     return QuantizedAllocation(
         loads=loads, period=period, alloc=Allocation(alpha, alloc.beta.copy())
     )
-
-
-def integer_load_check(q: QuantizedAllocation) -> None:
-    """Sanity check: loads/period reproduce the stored rational alpha."""
-    recon = q.loads.astype(float) / q.period
-    if not np.allclose(recon, q.alloc.alpha, rtol=0.0, atol=1e-12):
-        raise ScheduleError("quantized loads and rational alpha disagree")
-    if math.gcd(int(np.gcd.reduce(np.append(q.loads.ravel(), q.period))), 1) < 1:
-        raise ScheduleError("invalid gcd state")  # pragma: no cover

@@ -106,21 +106,31 @@ def _config_from(payload: dict, force_stream: bool = False) -> SolverConfig:
         raise ServiceError(f"invalid config: {exc}") from None
 
 
-def _setting_from_dict(data: dict):
+def _int_or_none(value, field: str) -> "int | None":
+    """``value`` as an int, ``None`` kept (the field is absent). Every
+    integer field is a count, a seed or a K, so a value ``int()`` refuses
+    or a negative one is the client's error, HTTP 400 naming ``field``."""
+    if value is None:
+        return None
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or number < 0:
+        raise ServiceError(f"{field!r} must be a non-negative integer, got {value!r}")
+    return number
+
+
+def _settings_from(raw) -> list:
+    """The explicit grid points of a ``POST /sweep`` body."""
     from repro.experiments.config import Setting
 
     try:
-        k = data["K"] if "K" in data else data["k"]
-        return Setting(
-            k=int(k),
-            connectivity=float(data["connectivity"]),
-            heterogeneity=float(data["heterogeneity"]),
-            mean_g=float(data["mean_g"]),
-            mean_bw=float(data["mean_bw"]),
-            mean_maxcon=float(data["mean_maxcon"]),
-        )
+        return [Setting.from_dict(data) for data in raw]
     except KeyError as exc:
         raise ServiceError(f"setting is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ServiceError(f"invalid entry in 'settings': {exc}") from None
 
 
 def _scenario_from(payload: dict) -> "tuple[object, str]":
@@ -140,8 +150,8 @@ def _scenario_from(payload: dict) -> "tuple[object, str]":
             raise ServiceError(str(exc), status=400) from None
     if isinstance(raw, dict):
         try:
-            scenario = Scenario(**raw)
-        except TypeError as exc:
+            scenario = Scenario.from_dict(raw)
+        except ValueError as exc:
             raise ServiceError(f"bad scenario dict: {exc}") from None
         digest = hashlib.sha256(
             _json.dumps(raw, sort_keys=True).encode()
@@ -222,10 +232,10 @@ class SolverService:
                 f"(one of {list(scenario_registry().names('platform'))})"
             )
         config = _config_from(payload)
-        seed = payload.get("seed")
-        if seed is not None:
-            seed = int(seed)
-        scenario_seed = payload.get("scenario_seed", seed)
+        seed = _int_or_none(payload.get("seed"), "seed")
+        scenario_seed = _int_or_none(
+            payload.get("scenario_seed", seed), "scenario_seed"
+        )
         objective = payload.get("objective") or config.objective or "maxmin"
         try:
             problem = scenario_registry().build_problem(
@@ -319,14 +329,24 @@ class SolverService:
         scenario, scenario_key = _scenario_from(payload)
         config = _config_from(payload, force_stream=True)
         if payload.get("settings") is not None:
-            settings = [_setting_from_dict(d) for d in payload["settings"]]
+            settings = _settings_from(payload["settings"])
         elif payload.get("n_settings") is not None:
             from repro.experiments.config import sample_settings
 
+            k_values = payload.get("k_values")
+            if k_values is not None:
+                if not isinstance(k_values, list) or not k_values or None in k_values:
+                    raise ServiceError(
+                        f"'k_values' must be a non-empty list of integers, "
+                        f"got {k_values!r}"
+                    )
+                k_values = [_int_or_none(k, "k_values") for k in k_values]
             settings = sample_settings(
-                int(payload["n_settings"]),
-                rng=np.random.default_rng(payload.get("settings_seed", 0)),
-                k_values=payload.get("k_values"),
+                _int_or_none(payload["n_settings"], "n_settings"),
+                rng=np.random.default_rng(
+                    _int_or_none(payload.get("settings_seed", 0), "settings_seed")
+                ),
+                k_values=k_values,
             )
         else:
             raise ServiceError(
@@ -335,7 +355,6 @@ class SolverService:
             )
         if not settings:
             raise ServiceError("sweep request has no settings")
-        seed = payload.get("seed")
         spec = {
             "settings": settings,
             "scenario": scenario,
@@ -344,7 +363,7 @@ class SolverService:
             "methods": payload.get("methods"),
             "objectives": payload.get("objectives"),
             "n_platforms": payload.get("n_platforms"),
-            "seed": None if seed is None else int(seed),
+            "seed": _int_or_none(payload.get("seed"), "seed"),
         }
         job_id = self.new_job_id("sweep")
         hold = bool(payload.get("hold", False))

@@ -18,7 +18,6 @@ fine for the fallback tier this bridge serves.
 from __future__ import annotations
 
 import asyncio
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -100,14 +99,6 @@ class AsgiHTTPServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
-
-    def serve_background(self) -> threading.Thread:
-        """Serve from a daemon thread (tests, CI smoke); returns it."""
-        thread = threading.Thread(
-            target=self.serve_forever, name="repro-service", daemon=True
-        )
-        thread.start()
-        return thread
 
 
 def run_server(app, host: str = "127.0.0.1", port: int = 8175,

@@ -108,7 +108,3 @@ class JobEventBroker:
             subs = list(self._subscribers.get(job_id, ()))
         for q in subs:
             q.put(payload)
-
-    def subscriber_count(self, job_id: str) -> int:
-        with self._lock:
-            return len(self._subscribers.get(job_id, ()))

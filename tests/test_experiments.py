@@ -183,6 +183,21 @@ class TestFigures:
         text = render_figure(fig)
         assert "log10(y)" in text
 
+    def test_figures_read_stream_from_the_solver(self):
+        from repro.api import Solver, SolverConfig
+
+        kwargs = dict(k_values=(4, 6), settings_per_k=1, platforms_per_setting=1)
+        in_memory = figure5(rng=0, **kwargs)
+        streamed = figure5(rng=0, solver=Solver(SolverConfig(stream=True)), **kwargs)
+        assert in_memory.rows and streamed.rows == []
+        assert streamed.series.keys() == in_memory.series.keys()
+        for label, points in in_memory.series.items():
+            assert [k for k, _ in streamed.series[label]] == [k for k, _ in points]
+            np.testing.assert_allclose(
+                [v for _, v in streamed.series[label]], [v for _, v in points],
+                rtol=1e-12,
+            )
+
     def test_figure7_without_lprr(self):
         fig = figure7(
             k_values=(4,), settings_per_k=1, platforms_per_setting=1,

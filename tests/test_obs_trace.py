@@ -139,3 +139,42 @@ class TestJsonlSink:
             sink.write(tracer)
         names = [json.loads(l)["name"] for l in path.read_text().splitlines()]
         assert names == ["a", "b"]
+
+
+class TestBatchTelemetry:
+    def test_solve_many_writes_one_tree_and_counts_one_operation(self, tmp_path):
+        """The batch solver observes the batch; its per-task solves run
+        without telemetry of their own, so their spans hang below the
+        batch and the metrics count ``solve_many`` alone."""
+        import numpy as np
+
+        from repro.api import Solver, SolverConfig, TelemetryOptions, build_scenario
+
+        path = tmp_path / "trace.jsonl"
+        telemetry = TelemetryOptions(trace=True, metrics=True, trace_path=str(path))
+        solver = Solver(SolverConfig(method="greedy", telemetry=telemetry))
+        problems = [
+            build_scenario("das2", rng=np.random.default_rng(s)) for s in range(3)
+        ]
+        solver.solve_many(problems, rng=0)
+
+        def shape(span):
+            return [
+                span["name"],
+                span.get("attrs"),
+                [shape(child) for child in span.get("children", [])],
+            ]
+
+        (line,) = path.read_text().splitlines()
+        solve = ["solve", {"method": "greedy", "objective": "maxmin"}, []]
+        assert shape(json.loads(line)) == [
+            "solve_many",
+            {"n_problems": 3},
+            [["task", {"index": i, "task_id": str(i)}, [solve]] for i in range(3)],
+        ]
+        families = solver.metrics.families()
+        for name in ("repro_solver_operations_total", "repro_solver_operation_seconds"):
+            (key,) = families[name]["children"]
+            assert key == (("op", "solve_many"),)
+        (ops,) = families["repro_solver_operations_total"]["children"].values()
+        assert ops.value == 1

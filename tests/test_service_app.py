@@ -305,6 +305,47 @@ def test_sweep_validation_errors(client):
     assert bad_setting.status == 400
 
 
+SAMPLED_BODY = {
+    "n_settings": 1, "k_values": [4], "settings_seed": 0,
+    "methods": ["greedy"], "objectives": ["maxmin"], "n_platforms": 1,
+    "seed": 7, "hold": True,
+}
+
+
+@pytest.mark.parametrize(
+    "route, body, field",
+    [
+        ("/solve", {"scenario": "das2", "seed": "abc"}, "seed"),
+        ("/solve", {"scenario": "das2", "scenario_seed": "x"}, "scenario_seed"),
+        ("/sweep", {**SWEEP_BODY, "settings": [
+            dict(SWEEP_SETTINGS[0], connectivity="x")]}, "connectivity"),
+        ("/sweep", {**SWEEP_BODY, "settings": [
+            dict(SWEEP_SETTINGS[0], K="four")]}, "K"),
+        ("/sweep", {**SWEEP_BODY, "settings": [5]}, "settings"),
+        ("/sweep", {**SWEEP_BODY, "settings": [{"K": 4}]}, "connectivity"),
+        ("/sweep", {**SWEEP_BODY, "scenario": {"speeed": 100.0}}, "speeed"),
+        ("/sweep", {**SAMPLED_BODY, "n_settings": "two"}, "n_settings"),
+        ("/sweep", {**SAMPLED_BODY, "settings_seed": "s"}, "settings_seed"),
+        ("/sweep", {**SAMPLED_BODY, "settings_seed": -1}, "settings_seed"),
+        ("/sweep", {**SAMPLED_BODY, "k_values": [4, "five"]}, "k_values"),
+        ("/sweep", {**SWEEP_BODY, "seed": "x"}, "seed"),
+    ],
+    ids=[
+        "solve-seed", "solve-scenario_seed", "setting-connectivity",
+        "setting-K", "setting-not-an-object", "setting-missing-key",
+        "scenario-unknown-key", "n_settings", "settings_seed",
+        "settings_seed-negative",
+        "k_values-entry", "sweep-seed",
+    ],
+)
+def test_malformed_input_is_a_client_error_naming_its_field(
+    client, route, body, field
+):
+    response = client.post(route, body)
+    assert response.status == 400
+    assert repr(field) in response.json()["error"]
+
+
 @pytest.mark.parametrize("route", ["/solve", "/sweep"])
 @pytest.mark.parametrize(
     "config, message",
