@@ -22,6 +22,7 @@ import json
 import time
 from pathlib import Path
 
+from repro import Solver, SolverConfig
 from repro.distrib import (
     InlineShardExecutor,
     ProcessShardExecutor,
@@ -32,7 +33,7 @@ from repro.distrib import (
     merge_shards,
     write_manifests,
 )
-from repro.experiments import run_sweep, sample_settings
+from repro.experiments import sample_settings
 from repro.experiments.config import DEFAULT_SCENARIO
 from repro.parallel.engine import RetryPolicy
 from repro.parallel.stream import SweepAccumulator
@@ -85,14 +86,13 @@ def test_fault_recovery_is_bitwise_and_bounded(tmp_path, monkeypatch):
     fast = RetryPolicy(max_attempts=3, backoff=0.0)
 
     t0 = time.perf_counter()
-    serial_rows = run_sweep(
+    serial_rows = Solver(SolverConfig(jobs=1)).sweep(
         sweep["settings"],
         scenario=sweep["scenario"],
         methods=sweep["methods"],
         objectives=sweep["objectives"],
         n_platforms=sweep["n_platforms"],
         rng=SEED,
-        jobs=1,
     )
     serial_seconds = time.perf_counter() - t0
     reference = SweepAccumulator.from_rows(

@@ -9,7 +9,8 @@ two numbers. Expected shape: MAXMIN ratio well above 1 (LPRG much
 fairer), SUM ratio slightly above 1.
 """
 
-from repro.experiments import headline_ratios, run_sweep, sample_settings
+from repro import Solver, SolverConfig
+from repro.experiments import headline_ratios, sample_settings
 
 from benchmarks.conftest import banner, sweep_jobs
 
@@ -19,13 +20,14 @@ def test_headline_lprg_over_g(benchmark, scale):
         settings = sample_settings(
             scale["headline_settings"], rng=42, k_values=[5, 15, 25, 35]
         )
-        rows = run_sweep(
+        # campaign engine: identical output for any jobs
+        solver = Solver(SolverConfig(jobs=sweep_jobs()))
+        rows = solver.sweep(
             settings,
             methods=("greedy", "lprg"),
             objectives=("maxmin", "sum"),
             n_platforms=scale["headline_platforms"],
             rng=42,
-            jobs=sweep_jobs(),  # campaign engine: identical output
         )
         return headline_ratios(rows)
 

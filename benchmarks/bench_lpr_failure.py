@@ -8,7 +8,8 @@ network capacity, and in some cases all beta values are rounded down to
 
 import numpy as np
 
-from repro.experiments import lpr_failure_stats, run_sweep, sample_settings
+from repro import Solver
+from repro.experiments import lpr_failure_stats, sample_settings
 from repro.experiments.aggregate import mean_ratio_by_k, pairwise_value_ratio
 
 from benchmarks.conftest import banner, full_scale
@@ -22,7 +23,7 @@ def test_lpr_failure_mode(benchmark):
         # betas, which is where round-down hurts most; keep the sample
         # honest by mixing in the full grid too.
         settings = sample_settings(n_settings, rng=3, k_values=[5, 15, 25])
-        return run_sweep(
+        return Solver().sweep(
             settings,
             methods=("greedy", "lpr", "lprg"),
             objectives=("maxmin",),

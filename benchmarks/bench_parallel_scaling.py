@@ -19,7 +19,8 @@ from __future__ import annotations
 import os
 import time
 
-from repro.experiments import run_sweep, sample_settings
+from repro import Solver, SolverConfig
+from repro.experiments import sample_settings
 from repro.experiments.config import PAPER_GRID
 
 from benchmarks.conftest import banner, full_scale
@@ -58,11 +59,11 @@ def test_parallel_scaling(benchmark):
 
     def timed(jobs: int):
         start = time.perf_counter()
-        rows = run_sweep(settings, jobs=jobs, **kwargs)
+        rows = Solver(SolverConfig(jobs=jobs)).sweep(settings, **kwargs)
         return rows, time.perf_counter() - start
 
     # Warm imports/caches once so the serial reference is not penalised.
-    run_sweep(settings[:1], jobs=1, **{**kwargs, "n_platforms": 1})
+    Solver().sweep(settings[:1], **{**kwargs, "n_platforms": 1})
 
     serial_rows, t_serial = benchmark.pedantic(
         timed, args=(1,), rounds=1, iterations=1

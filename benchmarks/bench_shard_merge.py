@@ -29,13 +29,14 @@ import sys
 import time
 from pathlib import Path
 
+from repro import Solver, SolverConfig
 from repro.distrib import (
     build_shard_manifests,
     manifest_path_for,
     run_sharded_sweep,
     write_manifests,
 )
-from repro.experiments import run_sweep, sample_settings
+from repro.experiments import sample_settings
 from repro.experiments.config import DEFAULT_SCENARIO
 from repro.parallel.stream import SweepAccumulator
 from repro.util.rng import seed_sequence_of
@@ -137,14 +138,13 @@ def test_shard_merge_bitwise_identical(tmp_path):
     n_tasks = len(sweep["settings"]) * sweep["n_platforms"]
 
     t0 = time.perf_counter()
-    serial_rows = run_sweep(
+    serial_rows = Solver(SolverConfig(jobs=1)).sweep(
         sweep["settings"],
         scenario=sweep["scenario"],
         methods=sweep["methods"],
         objectives=sweep["objectives"],
         n_platforms=sweep["n_platforms"],
         rng=SEED,
-        jobs=1,
     )
     serial_seconds = time.perf_counter() - t0
     reference = SweepAccumulator.from_rows(

@@ -14,7 +14,8 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.experiments import run_sweep, sample_settings
+from repro import Solver
+from repro.experiments import sample_settings
 from repro.experiments.trends import render_trends, trend_spread
 
 from benchmarks.conftest import banner, full_scale
@@ -23,7 +24,7 @@ from benchmarks.conftest import banner, full_scale
 def _sweep():
     n = 24 if full_scale() else 8
     settings = sample_settings(n, rng=19, k_values=[10, 20])
-    return run_sweep(
+    return Solver().sweep(
         settings,
         methods=("greedy", "lprg"),
         objectives=("maxmin", "sum"),

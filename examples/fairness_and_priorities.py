@@ -17,8 +17,8 @@ from repro import (
     BackboneLink,
     Cluster,
     Platform,
+    Solver,
     SteadyStateProblem,
-    solve,
 )
 from repro.simulation.metrics import jain_index
 from repro.util.tables import TextTable
@@ -44,6 +44,7 @@ def build_lopsided_platform() -> Platform:
 def main() -> None:
     platform = build_lopsided_platform()
     payoffs = [1.0, 1.0, 1.0, 0.0]  # the farm runs no application
+    milp = Solver.for_method("milp")  # small enough for exact
 
     print("Part 1 - SUM maximizes total payoff, MAXMIN protects the weak")
     print("-" * 66)
@@ -53,7 +54,7 @@ def main() -> None:
     )
     for objective in ("sum", "maxmin"):
         problem = SteadyStateProblem(platform, payoffs, objective=objective)
-        alloc = solve(problem, "milp").allocation  # small enough for exact
+        alloc = milp.solve(problem).allocation
         t = alloc.throughputs
         table.add_row(
             [objective, t[0], t[1], t[2], t[:3].sum(), jain_index(t[:3])]
@@ -77,7 +78,7 @@ def main() -> None:
         problem = SteadyStateProblem(
             platform, [hub_payoff, 1.0, 1.0, 0.0], objective="maxmin"
         )
-        alloc = solve(problem, "milp").allocation
+        alloc = milp.solve(problem).allocation
         t = alloc.throughputs
         table2.add_row(
             [hub_payoff, t[0], t[1], t[2], t[0] * hub_payoff, t[1] * 1.0]

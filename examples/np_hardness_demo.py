@@ -10,7 +10,7 @@ clusters that receive work form that independent set.
 Run:  python examples/np_hardness_demo.py
 """
 
-from repro import solve
+from repro import Solver
 from repro.complexity import (
     allocation_from_independent_set,
     exact_max_independent_set,
@@ -51,7 +51,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Solving the scheduling instance exactly solves the MIS instance.
     # ------------------------------------------------------------------
-    result = solve(inst.problem(), method="milp")
+    result = Solver.for_method("milp").solve(inst.problem())
     print(f"exact scheduling optimum (throughput of A_0): {result.value:.3f}")
     print(f"maximum independent set size:                 {len(mis)}")
     recovered = independent_set_from_allocation(inst, result.allocation)
@@ -68,7 +68,7 @@ def main() -> None:
 
     # And the polynomial heuristics? The greedy G effectively computes a
     # maximal independent set — good, but not always maximum:
-    g = solve(inst.problem(), method="greedy")
+    g = Solver.for_method("greedy").solve(inst.problem())
     print(f"greedy heuristic G achieves:                  {g.value:.3f}")
     print()
     print("This is Theorem 1 in executable form: optimizing steady-state")

@@ -17,7 +17,7 @@ The dump holds, keyed by a readable path:
   same ``Solver``, right after the ``solve/`` record, solves an
   equal-but-distinct copy of the problem (its platform round-tripped
   through ``platform_to_dict``/``platform_from_dict``) through
-  ``solve_many([copy], seeds=[seed])``, so the cross-call state the
+  ``Solver.solve_many([copy], seeds=[seed])``, so the cross-call state the
   first solve left behind (LP templates, memoized HiGHS optima) is
   read. ``--out`` exits 1 when a twin differs from its ``solve/``
   record;
@@ -37,12 +37,21 @@ The dump holds, keyed by a readable path:
 
 Each solve records its value, allocation (the LP point for ``lp`` and
 ``milp``), LP solve count, LP session statistics and LP backend. Floats are
-written with ``repr`` and read back exactly. ``--compare`` prints how
-many leaf values are bitwise-identical, the largest relative change of a
-float value, and every changed value, in two groups: output leaves, and
-the work counts under an ``lp_stats`` key (pivots, warm/cold solve
-counts), which say how an answer was reached, not what it is. It exits
-1 when an output leaf changed.
+written with ``repr`` and read back exactly. ``--compare A B`` prints how
+many leaves of both dumps are bitwise-identical and the largest
+relative change of a float value, then a count and a list of each kind
+of difference:
+
+* changed: the leaf is in both dumps, with different bytes. Work counts
+  under an ``lp_stats`` key (pivots, warm/cold solve counts) say how an
+  answer was reached, not what it is, so they are listed apart and not
+  counted;
+* removed: the leaf is in ``A`` only;
+* added: the leaf is in ``B`` only (a new dump leg).
+
+It exits 1 when an output leaf changed or was removed; added leaves
+alone exit 0. The summary lines start in the first column and the
+listed leaves are indented, so ``grep -v '^ '`` keeps the summary.
 """
 
 from __future__ import annotations
@@ -249,14 +258,16 @@ def _is_work_count(path: str) -> bool:
 
 def compare(a: dict, b: dict) -> int:
     """Print the diff summary; returns the number of changed output
-    leaves (changed ``lp_stats`` work counts are listed, not counted)."""
+    leaves plus removed leaves (changed ``lp_stats`` work counts and
+    added leaves are listed, not counted)."""
     left, right = dict(_leaves(a)), dict(_leaves(b))
     identical = worst = 0
     worst_at = None
     outputs: list = []
     work: list = []
-    for path in sorted(set(left) | set(right)):
-        x, y = left.get(path, "<missing>"), right.get(path, "<missing>")
+    shared = set(left) & set(right)
+    for path in sorted(shared):
+        x, y = left[path], right[path]
         if type(x) is type(y) and json.dumps(x) == json.dumps(y):
             identical += 1
             continue
@@ -265,15 +276,21 @@ def compare(a: dict, b: dict) -> int:
             rel = abs(x - y) / max(abs(x), abs(y), 1e-300)
             if math.isfinite(rel) and rel > worst:
                 worst, worst_at = rel, path
-    total = len(set(left) | set(right))
-    print(f"{identical} of {total} values bitwise-identical")
+    removed = sorted(set(left) - set(right))
+    added = sorted(set(right) - set(left))
+    print(f"{identical} of {len(shared)} shared values bitwise-identical")
     print(f"largest relative float change: {worst:.3g}"
           + (f" at {worst_at}" if worst_at else ""))
     for label, changed in (("output", outputs), ("lp_stats work-count", work)):
         print(f"{len(changed)} {label} values changed")
         for path, x, y in changed:
             print(f"  {path}: {x!r} -> {y!r}")
-    return len(outputs)
+    for label, paths, dump in (("removed", removed, left),
+                               ("added", added, right)):
+        print(f"{len(paths)} values {label}")
+        for path in paths:
+            print(f"  {path}: {dump[path]!r}")
+    return len(outputs) + len(removed)
 
 
 def main(argv=None) -> int:

@@ -55,11 +55,8 @@ wall-clock time, never a single float.
 ...      problems, rng=0)]
 [True, True]
 
-Legacy one-call forms (``solve``, ``solve_many``,
-``repro.experiments.run_sweep``) remain as thin shims over the facade
-with bitwise-identical output. They are leaves: no package module calls
-them, and every sweep and batch inside the package goes through a
-:class:`Solver`.
+``Solver.solve``, ``Solver.solve_many`` and ``Solver.sweep`` are the
+one way in; the CLI and the service call them too.
 """
 
 from repro.api import (
@@ -92,12 +89,10 @@ from repro.core import (
     ViolationReport,
     allocation_violations,
     applications_for_platform,
-    available_methods,
     get_objective,
-    method_info,
-    solve,
     validate_allocation,
 )
+from repro.heuristics.base import available_methods, method_info
 from repro.platform import (
     BackboneLink,
     CapacityLedger,
@@ -117,7 +112,6 @@ from repro.parallel import (
     CampaignEngine,
     QuarantineError,
     RetryPolicy,
-    solve_many,
 )
 from repro.util.errors import (
     InfeasibleError,
@@ -166,7 +160,6 @@ __all__ = [
     "available_methods",
     "method_info",
     "get_objective",
-    "solve",
     "validate_allocation",
     # platform
     "BackboneLink",
@@ -184,7 +177,6 @@ __all__ = [
     "star_platform",
     # parallel campaigns
     "CampaignEngine",
-    "solve_many",
     "SweepAccumulator",
     "RetryPolicy",
     "QuarantineError",

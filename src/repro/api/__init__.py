@@ -9,15 +9,13 @@ The facade in three moves::
     reports = solver.solve_many(problems, rng=0)     # reuses warm state
     rows = solver.sweep(settings, scenario="calibrated")
 
-:class:`SolverConfig` is the typed replacement for the historical
-string-and-``**kwargs`` funnel; :class:`Solver` owns cross-call warm
-state (LP templates, variable indices, the campaign engine) so repeated
-solves of related instances stop cold-starting; the scenario registry
-names platform/application scenarios the same way the heuristic
-registry names methods. The legacy entry points —
-``repro.solve``, ``repro.solve_many``, ``repro.experiments.run_sweep``
-— remain as thin shims over this package with bitwise-identical output;
-they are leaves that no package module calls.
+:class:`SolverConfig` holds every knob, typed and validated;
+:class:`Solver` owns cross-call warm state (LP templates, variable
+indices, the campaign engine) so repeated solves of related instances
+stop cold-starting; the scenario registry names platform/application
+scenarios the same way the heuristic registry names methods.
+``Solver.solve``, ``Solver.solve_many`` and ``Solver.sweep`` are the
+package's one way to solve, batch and sweep.
 """
 
 from repro.api.config import (

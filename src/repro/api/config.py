@@ -1,21 +1,18 @@
 """Typed, validated solver configuration.
 
-:class:`SolverConfig` replaces the historical string-and-``**kwargs``
-funnel of ``solve(problem, method="lprg", **kwargs)``: every knob the
-library grew — the PR-1 campaign options (``jobs``, ``chunk_size``,
-``checkpoint``/``resume``), the PR-2 LP re-solve options (``warm_start``,
-``lp_backend``), and the per-method algorithm options — lives in one
-frozen dataclass that validates on construction, round-trips through
-``to_dict``/``from_dict``, and rejects unknown option names with a
-did-you-mean suggestion instead of silently ignoring them (a removed
-option is named as removed, see
+:class:`SolverConfig` holds every knob the library grew — the campaign
+options (``jobs``, ``chunk_size``, ``checkpoint``/``resume``), the LP
+re-solve options (``warm_start``, ``lp_backend``), and the per-method
+algorithm options — in one frozen dataclass that validates on
+construction, round-trips through ``to_dict``/``from_dict``, and
+rejects unknown option names with a did-you-mean suggestion instead of
+silently ignoring them (a removed option is named as removed, see
 :data:`repro.heuristics.base.REMOVED_OPTIONS`).
 
 Per-method options are *typed sub-configs* (:class:`GreedyOptions`,
 :class:`LPRROptions`, ...): the config carries exactly one, matching its
 ``method``, and :meth:`SolverConfig.for_method` builds the right one
-from flat keyword arguments — which is also how the legacy ``solve``
-shim translates its ``**kwargs``.
+from flat keyword arguments.
 """
 
 from __future__ import annotations
@@ -137,15 +134,15 @@ class SolverConfig:
     method:
         Any registered algorithm name or alias (canonicalised, so
         ``"g"`` stores as ``"greedy"``). Unknown names raise
-        ``ValueError`` exactly like the legacy facade.
+        ``ValueError``, as :func:`~repro.heuristics.base.get_heuristic`
+        does.
     objective:
         ``None`` (default) solves each problem under its own objective;
         ``"maxmin"``/``"sum"`` re-derives every incoming problem under
         the named objective before solving.
     seed:
         Default RNG policy: the seed used when a call does not pass its
-        own ``rng``. ``None`` draws fresh entropy per call (the legacy
-        default).
+        own ``rng``. ``None`` draws fresh entropy per call.
     lp_backend, warm_start:
         The LP re-solve knobs, applied to every method that supports
         them. ``lp_backend`` is ``"session"`` (default: warm-started
@@ -261,6 +258,22 @@ class SolverConfig:
                     f"seed must be an int or None, got {self.seed!r}"
                 )
             object.__setattr__(self, "seed", int(self.seed))
+        # Types before ranges: a JSON "false" is truthy, so a flag read
+        # for truth would switch on, and a str count would fail below
+        # with a comparison error that names no field.
+        for name in ("warm_start", "resume", "stream"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise SolverError(f"{name!r} must be a bool, got {value!r}")
+        for name in ("jobs", "chunk_size", "shards"):
+            value = getattr(self, name)
+            if value is None and name == "chunk_size":
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, (int, np.integer)
+            ):
+                raise SolverError(f"{name!r} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.jobs < 1:
             raise SolverError(f"jobs must be >= 1, got {self.jobs}")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -370,8 +383,7 @@ class SolverConfig:
 
         Keywords are routed to config fields or to the method's option
         class; anything else raises :class:`SolverError` naming the
-        nearest valid option — the strict replacement for the legacy
-        facade's silent ``**kwargs`` forwarding.
+        nearest valid option.
         """
         heuristic = get_heuristic(method)  # ValueError when unknown
         opts_cls = options_class_for(heuristic.name)

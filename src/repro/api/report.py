@@ -1,11 +1,10 @@
 """Structured solve reports.
 
 A :class:`SolveReport` is a :class:`~repro.heuristics.base.
-HeuristicResult` (so every existing consumer keeps working, including
-the legacy ``solve`` shim whose callers expect that type) extended with
-what the facade knows and the bare result does not: the exact
-:class:`~repro.api.config.SolverConfig` the solve ran under, and the
-facade's cross-call cache counters at the time of the call.
+HeuristicResult` (so every consumer of that type keeps working)
+extended with what the facade knows and the bare result does not: the
+exact :class:`~repro.api.config.SolverConfig` the solve ran under, and
+the facade's cross-call cache counters at the time of the call.
 """
 
 from __future__ import annotations

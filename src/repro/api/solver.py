@@ -21,8 +21,9 @@ Reuse is **bitwise-transparent**: cached templates are pristine copies
 of what a cold build produces, a memoized optimum is a copy of what
 HiGHS returned for the identical instance (HiGHS is deterministic on
 identical input), and no simplex basis is ever carried between
-independent solves, so ``Solver(cfg).solve(p)`` equals the legacy
-``solve(p, ...)`` byte for byte (pinned by the equivalence suite, by
+independent solves, so a reused ``Solver`` returns what a fresh one
+returns, and both return what the bare heuristic's ``run`` returns,
+byte for byte (pinned by ``tests/test_api_solver.py``, by
 ``tests/test_lp_builder.py::TestSolutionMemo`` and by
 ``benchmarks/bench_api_reuse.py``).
 """
@@ -223,7 +224,9 @@ class Solver:
 
         ``rng`` overrides the config's ``seed`` for this call. The
         returned :class:`SolveReport` is a ``HeuristicResult`` whose
-        base fields are bitwise-equal to the legacy ``solve()`` output.
+        base fields are bitwise-equal to those of
+        ``get_heuristic(method).run(problem, rng=rng,
+        **config.method_kwargs())``.
         """
         config = self.config
         heuristic = get_heuristic(config.method)
@@ -260,16 +263,15 @@ class Solver:
         """Solve many independent problems; results in input order.
 
         Instance ``i`` solves under the ``i``-th stateless spawn child
-        of ``rng`` (or the config's ``seed``), exactly like the legacy
-        :func:`repro.parallel.solve_many` — so results are a pure
+        of ``rng`` (or the config's ``seed``), so results are a pure
         function of ``(problems, config, rng)``, independent of ``jobs``
         and chunking. With ``jobs == 1`` the batch runs inline and every
         instance shares this solver's warm state.
 
         ``seeds`` replaces the spawn derivation with *explicit*
         per-instance seeds: instance ``i`` solves exactly as
-        ``solve(problems[i], rng=seeds[i])`` would (bitwise). This is
-        the contract the :mod:`repro.service` request coalescer builds
+        ``self.solve(problems[i], rng=seeds[i])`` would (bitwise). This
+        is the contract the :mod:`repro.service` request coalescer builds
         on — independent requests, each carrying its own seed, can be
         batched through one ``solve_many`` call without changing any
         response. ``seeds`` and ``rng`` are mutually exclusive; a
@@ -330,10 +332,9 @@ class Solver:
     ) -> "list[ExperimentRow] | SweepAccumulator":
         """Run a Section-6 style sweep over many grid points.
 
-        The facade-native form of the historical ``run_sweep``:
-        execution (``jobs``, ``chunk_size``, ``checkpoint``, ``resume``,
-        ``stream``, ``row_sink``) comes from the config; the sweep
-        definition from the arguments. ``scenario`` accepts an
+        Execution (``jobs``, ``chunk_size``, ``checkpoint``, ``resume``,
+        ``stream``, ``row_sink``, ``shards``) comes from the config; the
+        sweep definition from the arguments. ``scenario`` accepts an
         :class:`~repro.experiments.config.Scenario`, a registered
         sweep-scenario name (see :mod:`repro.api.scenarios`), or
         ``None`` for the calibrated default. Rows are bitwise-identical

@@ -10,9 +10,9 @@ The central objects are:
 * :class:`~repro.core.allocation.Allocation` — a candidate solution
   ``(alpha, beta)``;
 * :func:`~repro.core.constraints.validate_allocation` — the steady-state
-  equations (1)-(4) as a checkable predicate;
-* :func:`~repro.core.solve.solve` — one-call façade over all heuristics
-  and exact solvers.
+  equations (1)-(4) as a checkable predicate.
+
+Solving goes through :class:`repro.api.Solver`.
 """
 
 from repro.core.application import Application, applications_for_platform
@@ -24,7 +24,6 @@ from repro.core.constraints import (
     ViolationReport,
 )
 from repro.core.problem import SteadyStateProblem
-from repro.core.solve import solve, available_methods, method_info
 
 __all__ = [
     "Application",
@@ -38,7 +37,4 @@ __all__ = [
     "allocation_violations",
     "ViolationReport",
     "SteadyStateProblem",
-    "solve",
-    "available_methods",
-    "method_info",
 ]

@@ -34,8 +34,8 @@ in one of three LP-mutation classes, in increasing order of cost:
 **The oracle-equivalence guarantee.** Both the incremental session and
 a from-scratch oracle session are attached to the *same* mutated
 :class:`~repro.lp.builder.LPInstance`; after every event the oracle
-solves it cold (``solve(warm_basis=None)``). Each side runs one solve,
-with its one optimal-face search, and one token read, and two
+solves it cold (``LPSession.solve(warm_basis=None)``). Each side runs
+one solve, with its one optimal-face search, and one token read, and two
 mechanisms make warm == cold *bitwise*, not merely value-equal. First,
 full-column vertex canonicalization (``LPSession(canon="all")``)
 maximises a generic secondary objective over the optimal face, so a
@@ -288,9 +288,10 @@ class OnlineScheduler:
         :class:`DynamicOptions` (defaults apply when omitted).
     warm_start:
         ``False`` makes every incremental re-solve start cold
-        (``solve(warm_basis=None)``) while keeping the same session and
-        extraction path, so warm and cold runs must (and do) produce
-        identical :meth:`DisruptionReport.state_dict` fingerprints.
+        (``LPSession.solve(warm_basis=None)``) while keeping the same
+        session and extraction path, so warm and cold runs must (and do)
+        produce identical :meth:`DisruptionReport.state_dict`
+        fingerprints.
     max_iter:
         Forwarded to the underlying :class:`LPSession`.
     """
@@ -428,8 +429,9 @@ class OnlineScheduler:
         with use_build_cache(self._cache):
             instance = build_lp(template)
             # Both sessions share the mutated instance. The oracle
-            # solves cold per call (solve(warm_basis=None)); a read
-            # fallback re-solves from an explicit token on either side.
+            # solves cold per call (LPSession.solve(warm_basis=None)); a
+            # read fallback re-solves from an explicit token on either
+            # side.
             session = LPSession(instance, max_iter=self.max_iter, canon="all")
             oracle = (
                 LPSession(instance, max_iter=self.max_iter, canon="all")

@@ -19,7 +19,6 @@ from repro.experiments.runner import (
     ExperimentRow,
     run_replicate,
     run_setting,
-    run_sweep,
 )
 from repro.experiments.aggregate import (
     headline_ratios,
@@ -46,7 +45,6 @@ __all__ = [
     "ExperimentRow",
     "run_replicate",
     "run_setting",
-    "run_sweep",
     "headline_ratios",
     "lpr_failure_stats",
     "mean_ratio_by_k",

@@ -277,7 +277,7 @@ def _run_shard_command(args) -> int:
 
 def _render_method_table() -> str:
     """Registry metadata as a fixed-width listing (``--list-methods``)."""
-    from repro.core.solve import method_info
+    from repro.heuristics.base import method_info
 
     lines = ["registered methods:"]
     infos = method_info()

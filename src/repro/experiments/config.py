@@ -79,12 +79,12 @@ class Setting:
         if not isinstance(data, dict):
             raise TypeError(f"a setting must be a dict, got {data!r}")
         return cls(
-            k=_number(data, "K" if "K" in data else "k", int),
-            connectivity=_number(data, "connectivity", float),
-            heterogeneity=_number(data, "heterogeneity", float),
-            mean_g=_number(data, "mean_g", float),
-            mean_bw=_number(data, "mean_bw", float),
-            mean_maxcon=_number(data, "mean_maxcon", float),
+            k=_value_of(data, "K" if "K" in data else "k", int),
+            connectivity=_value_of(data, "connectivity", float),
+            heterogeneity=_value_of(data, "heterogeneity", float),
+            mean_g=_value_of(data, "mean_g", float),
+            mean_bw=_value_of(data, "mean_bw", float),
+            mean_maxcon=_value_of(data, "mean_maxcon", float),
         )
 
 
@@ -129,7 +129,7 @@ class Scenario:
         unknown = sorted(set(data) - set(_SCENARIO_CASTS))
         if unknown:
             raise ValueError(f"unknown scenario key(s) {unknown}")
-        return cls(**{key: _number(data, key, _SCENARIO_CASTS[key]) for key in data})
+        return cls(**{key: _value_of(data, key, _SCENARIO_CASTS[key]) for key in data})
 
 
 #: the :class:`Scenario` dict format: key -> type, in field order
@@ -142,10 +142,15 @@ _SCENARIO_CASTS = {
 }
 
 
-def _number(data: dict, key: str, cast):
+def _value_of(data: dict, key: str, cast):
     """``cast(data[key])``; a value it cannot convert raises a
-    ``ValueError`` naming ``key``."""
+    ``ValueError`` naming ``key``. A ``bool`` key takes only a boolean,
+    because ``bool("false")`` is ``True``."""
     value = data[key]
+    if cast is bool:
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"{key!r} must be true or false, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError):

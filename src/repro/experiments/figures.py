@@ -16,8 +16,7 @@ accumulators (:mod:`repro.parallel.stream`) instead of a materialised
 row list (``FigureData.rows`` stays empty; ``row_sink`` diverts the raw
 rows to disk). The in-memory path remains the default and the bitwise
 reference; streamed means agree with it to float rounding (Welford vs
-``np.mean``). The legacy ``run_sweep`` shim is a leaf that no package
-module calls.
+``np.mean``).
 """
 
 from __future__ import annotations

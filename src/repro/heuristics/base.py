@@ -3,7 +3,7 @@
 Every algorithm — the four heuristics of Section 5, the LP upper bound
 and the exact solvers — implements :class:`Heuristic` and registers
 itself by name, so the experiment harness can sweep over algorithms
-uniformly and :func:`repro.core.solve.solve` can dispatch by string.
+uniformly and :class:`repro.api.Solver` can dispatch by string.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class MethodInfo:
     """Metadata describing one registered algorithm.
 
-    The typed counterpart of :func:`repro.core.solve.available_methods`:
+    The typed counterpart of :func:`available_methods`:
     what the method is, which run options it accepts, whether it solves
     LPs, and whether its result depends on the ``rng`` argument.
     """
@@ -198,6 +198,30 @@ def registry() -> dict[str, Heuristic]:
     return dict(_REGISTRY)
 
 
+def available_methods() -> tuple[str, ...]:
+    """Canonical names of every registered algorithm, sorted."""
+    return tuple(sorted(registry()))
+
+
+def method_info() -> dict[str, MethodInfo]:
+    """Per-method metadata, keyed by canonical name.
+
+    The typed extension of :func:`available_methods`: each entry records
+    the method's description, aliases, supported options, whether it
+    solves LPs, and whether its result depends on ``rng``. Sourced from
+    the registry, so third-party registrations show up too.
+
+    >>> info = method_info()
+    >>> info["lprr"].uses_lp and not info["lprr"].deterministic
+    True
+    >>> "selection" in info["greedy"].options
+    True
+    """
+    return {
+        name: heuristic.info() for name, heuristic in sorted(registry().items())
+    }
+
+
 def get_heuristic(name: str) -> Heuristic:
     """Look an algorithm up by name or alias (case-insensitive)."""
     _ensure_loaded()
@@ -220,12 +244,12 @@ def nearest_name(name: str, candidates) -> "str | None":
 def unknown_option_error(option: str, method: str, valid) -> SolverError:
     """The :class:`SolverError` for an unrecognised solver option.
 
-    Historically ``solve()`` forwarded unknown ``**kwargs`` into the
-    heuristics' catch-all signatures, where they were silently ignored —
-    a typo like ``eager_integer_fixng=True`` changed nothing and said
-    nothing. Every public entry point now rejects unknown names through
-    this helper, naming the nearest valid option — or, for a name in
-    :data:`REMOVED_OPTIONS`, saying that it was removed and why.
+    A typo like ``eager_integer_fixng=True`` must not change nothing and
+    say nothing: every entry point that takes option names
+    (:meth:`Heuristic.run`, :meth:`repro.api.SolverConfig.for_method`,
+    :meth:`repro.api.SolverConfig.from_dict`) rejects unknown names
+    through this helper, naming the nearest valid option — or, for a
+    name in :data:`REMOVED_OPTIONS`, saying that it was removed and why.
     """
     if option in REMOVED_OPTIONS:
         return SolverError(

@@ -30,8 +30,9 @@ hit when one of them solved it under the same
 HiGHS solve otherwise) and starts from its :meth:`~repro.lp.session.LPSession.support_token`
 instead of the all-slack basis. A HiGHS failure, or a point that is not
 a vertex, leaves that first solve cold. ``warm_start=False`` makes no
-HiGHS call and starts every step cold (``solve(warm_basis=None)``), and
-``n_lp_solves`` counts the chain's LP solves only.
+HiGHS call and starts every step cold
+(``LPSession.solve(warm_basis=None)``), and ``n_lp_solves`` counts the
+chain's LP solves only.
 
 The *final* solve — the one whose solution becomes the returned
 allocation — always runs through the session's cold path. Rounding

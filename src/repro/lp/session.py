@@ -7,9 +7,9 @@ three differ only in box bounds and right-hand sides. An
 :class:`LPSession` owns one :class:`~repro.lp.builder.LPInstance` and
 exploits exactly that structure:
 
-* **in-place mutation** — ``solve(lb=..., ub=..., b_ub=...)`` writes the
-  new data into the owned instance (no ``with_bounds`` copy, no
-  ``build_lp`` re-assembly);
+* **in-place mutation** — ``LPSession.solve(lb=..., ub=..., b_ub=...)``
+  writes the new data into the owned instance (no ``with_bounds`` copy,
+  no ``build_lp`` re-assembly);
 * **warm start** — the optimal basis of the previous solve is carried
   across calls (as a :class:`Basis` token) and seeds the simplex, which
   skips phase 1 whenever the carried basis is still usable;
@@ -32,7 +32,7 @@ are frozen out of pricing rather than eliminated, so the carried basis
 (and its live LU factorization, kept across solves) maps one-to-one
 every time instead of going singular against a shrinking column set.
 
-``solve(warm_basis=None)`` is the cold reference: that call starts
+``LPSession.solve(warm_basis=None)`` is the cold reference: that call starts
 from no basis (and no LU) through the same engine, so warm-vs-cold
 output can be compared bitwise on one session. HiGHS
 (:func:`repro.lp.scipy_backend.solve_lp_scipy`) stays the independent
@@ -282,7 +282,7 @@ class LPSession:
 
         The incremental-mutation primitive for online re-scheduling —
         a drift event touches one or two rows, so rewriting the whole
-        ``b_ub`` array (the ``solve(b_ub=...)`` path) both obscures the
+        ``b_ub`` array (the ``self.solve(b_ub=...)`` path) both obscures the
         edit and costs O(m) per event. ``values`` broadcasts.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=int))

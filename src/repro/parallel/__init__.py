@@ -1,10 +1,8 @@
-"""Parallel campaign execution: batched solving and process-pool sweeps.
+"""Parallel campaign execution: the engine behind batched solving and
+process-pool sweeps.
 
 The package has three layers, each usable on its own:
 
-* :func:`solve_many` — the legacy batched shim over
-  :meth:`repro.api.Solver.solve_many`: many independent instances, one
-  call, optional process-pool fan-out.
 * :class:`CampaignEngine` — generic deterministic task runner
   (chunked scheduling, worker-crash recovery, ``jobs=1`` inline
   reference path) behind :meth:`repro.api.Solver.sweep` and
@@ -24,7 +22,6 @@ one — and so is the streamed aggregate (fold order is pinned to the
 task index).
 """
 
-from repro.parallel.batch import solve_many
 from repro.parallel.checkpoint import (
     PREFOLDED,
     CampaignCheckpoint,
@@ -67,7 +64,6 @@ from repro.parallel.sweep import (
 )
 
 __all__ = [
-    "solve_many",
     "CampaignEngine",
     "default_chunk_size",
     "RetryPolicy",

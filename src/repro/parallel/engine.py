@@ -108,6 +108,10 @@ class RetryPolicy:
     quarantine: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.quarantine, bool):
+            raise ValueError(
+                f"'quarantine' must be a bool, got {self.quarantine!r}"
+            )
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"

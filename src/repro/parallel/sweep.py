@@ -79,10 +79,11 @@ def build_sweep_tasks(
 ) -> list[SweepTask]:
     """Expand a sweep definition into its ordered task list.
 
-    Seed derivation mirrors the historical serial runner exactly: the
-    root seed spawns one child per setting, which spawns one grandchild
-    per replicate — so results are bit-for-bit those of the pre-engine
-    ``run_sweep`` for any given seed.
+    Seed derivation mirrors the serial runner exactly: the root seed
+    spawns one child per setting, which spawns one grandchild per
+    replicate — so results are bit-for-bit those of
+    :func:`repro.experiments.runner.run_setting` over the settings in
+    order, for any given seed.
     """
     root = seed_sequence_of(rng)
     tasks: list[SweepTask] = []

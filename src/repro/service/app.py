@@ -95,8 +95,9 @@ def _config_from(payload: dict, force_stream: bool = False) -> SolverConfig:
         data["method"] = payload["method"]
     if force_stream:
         data["stream"] = True
+    shards = data.get("shards", 1)
     try:
-        if int(data.get("shards", 1)) > 1:
+        if isinstance(shards, int) and shards > 1:
             raise ServiceError(
                 "shards > 1 is not available through the service: sharded "
                 "rows fold inside the shard executors and cannot stream"
@@ -119,6 +120,18 @@ def _int_or_none(value, field: str) -> "int | None":
     if number is None or number < 0:
         raise ServiceError(f"{field!r} must be a non-negative integer, got {value!r}")
     return number
+
+
+def _flag(payload: dict, key: str, default: bool) -> bool:
+    """The request flag ``key``, ``default`` when absent or null. Only a
+    JSON boolean is read: ``bool("false")`` is ``True``, so any other
+    value is the client's error, HTTP 400 naming ``key``."""
+    value = payload.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        raise ServiceError(f"{key!r} must be true or false, got {value!r}")
+    return value
 
 
 def _settings_from(raw) -> list:
@@ -253,10 +266,10 @@ class SolverService:
         kind ``"report"`` (synchronous) or ``"job"`` (``"async": true``).
         """
         self._check_open()
+        coalesce = _flag(payload, "coalesce", True)
+        wants_async = _flag(payload, "async", False)
         problem, fingerprint, config, seed = self._build_solve(payload)
         solver = self.pool.solver_for(fingerprint, config)
-        coalesce = bool(payload.get("coalesce", True))
-        wants_async = bool(payload.get("async", False))
         job_id = self.new_job_id("solve") if wants_async else None
         if coalesce:
             future = self.coalescer.submit(
@@ -326,6 +339,7 @@ class SolverService:
     def submit_sweep(self, payload: dict) -> dict:
         """Handle one ``POST /sweep``: create (and maybe start) a job."""
         self._check_open()
+        hold = _flag(payload, "hold", False)
         scenario, scenario_key = _scenario_from(payload)
         config = _config_from(payload, force_stream=True)
         if payload.get("settings") is not None:
@@ -366,7 +380,6 @@ class SolverService:
             "seed": _int_or_none(payload.get("seed"), "seed"),
         }
         job_id = self.new_job_id("sweep")
-        hold = bool(payload.get("hold", False))
         self.jobs.create(
             JobRecord(
                 job_id,
@@ -596,7 +609,7 @@ class SolverService:
 
     def describe(self) -> dict:
         """The ``/scenarios`` + ``/methods`` discovery payload pieces."""
-        from repro.core.solve import available_methods
+        from repro.heuristics.base import available_methods
 
         registry = scenario_registry()
         return {

@@ -8,11 +8,12 @@ warm, but batching them through one
 facade overhead and keeps one code path hot.
 
 The enabling contract lives in the facade (and is pinned by tests):
-``solve_many(problems, seeds=[s0, s1, ...])`` solves instance ``i``
-**bitwise-exactly** as ``solve(problems[i], rng=si)`` would. Batching
-is therefore invisible in the responses — any interleaving of requests
-produces byte-identical reports to unbatched execution, which is the
-Hypothesis property in ``tests/test_service_coalescer.py``.
+``solver.solve_many(problems, seeds=[s0, s1, ...])`` solves instance
+``i`` **bitwise-exactly** as ``solver.solve(problems[i], rng=si)``
+would. Batching is therefore invisible in the responses — any
+interleaving of requests produces byte-identical reports to unbatched
+execution, which is the Hypothesis property in
+``tests/test_service_coalescer.py``.
 
 Mechanics (leader/follower, no timer): a request for an idle key
 *leads* — it hands the key to a worker of the coalescer's small thread

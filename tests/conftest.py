@@ -25,6 +25,12 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: spawns a subprocess or runs a whole example"
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

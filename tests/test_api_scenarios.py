@@ -11,7 +11,6 @@ from repro import (
     available_scenarios,
     build_scenario,
     scenario_info,
-    solve,
 )
 from repro.api.scenarios import ScenarioRegistry
 from repro.experiments.config import DEFAULT_SCENARIO, LITERAL_SCENARIO
@@ -51,7 +50,7 @@ class TestBuiltins:
     def test_fixed_scenarios_build_and_solve(self, name):
         problem = build_scenario(name, objective="sum")
         assert problem.objective.name == "sum"
-        report = solve(problem, "greedy")
+        report = Solver.for_method("greedy").solve(problem)
         assert report.value > 0
 
     def test_presets_ignore_rng(self):

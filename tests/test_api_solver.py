@@ -1,12 +1,13 @@
 """API-equivalence suite for the :mod:`repro.api` facade.
 
-Pins the redesign's core contract: ``Solver(...).solve/solve_many/
-sweep`` are **bitwise-equal** to the legacy ``solve``/``solve_many``/
-``run_sweep`` shims across every registered method and both objectives,
-with or without cross-call state reuse. Plus ``SolverConfig``
-validation, ``to_dict``/``from_dict`` round-trips, the strict
-unknown-option rejection (the PR's bugfix satellite), and
-``method_info()`` metadata consistency.
+Pins the facade's core contract: ``Solver(cfg).solve`` is
+**bitwise-equal** to the bare heuristic's ``run`` under
+``cfg.method_kwargs()`` across every registered method and both
+objectives, with or without cross-call state reuse; ``solve_many``
+equals a loop of single solves and ``sweep`` a sweep of the named
+scenario. Plus ``SolverConfig`` validation (strict flag and count
+types included), ``to_dict``/``from_dict`` round-trips, the strict
+unknown-option rejection, and ``method_info()`` metadata consistency.
 """
 
 import doctest
@@ -16,13 +17,12 @@ import numpy as np
 import pytest
 
 from repro import (
+    RetryPolicy,
     SolveReport,
     Solver,
     SolverConfig,
     SolverError,
     method_info,
-    solve,
-    solve_many,
 )
 from repro.api.config import (
     GreedyOptions,
@@ -31,8 +31,11 @@ from repro.api.config import (
     MethodOptions,
     options_class_for,
 )
-from repro.core.solve import available_methods
-from repro.heuristics.base import REMOVED_OPTIONS, get_heuristic
+from repro.heuristics.base import (
+    REMOVED_OPTIONS,
+    available_methods,
+    get_heuristic,
+)
 
 
 def assert_same_result(a, b):
@@ -56,9 +59,12 @@ class TestSolveEquivalence:
     ):
         # K=4 keeps the exact solvers (milp/bnb) cheap enough to sweep.
         problem = problem_factory(seed=1, n_clusters=4, objective=objective)
-        legacy = solve(problem, method, rng=7)
-        facade = Solver.for_method(method).solve(problem, rng=7)
-        assert_same_result(legacy, facade)
+        config = SolverConfig(method=method)
+        raw = get_heuristic(method).run(
+            problem, rng=7, **config.method_kwargs()
+        )
+        facade = Solver(config).solve(problem, rng=7)
+        assert_same_result(raw, facade)
 
     @pytest.mark.parametrize("method", ["lprg", "lprr", "lprg-it"])
     def test_reused_solver_bitwise_equal_to_fresh(self, problem_factory, method):
@@ -83,7 +89,11 @@ class TestSolveEquivalence:
             problem
         )
         assert report.objective == "sum"
-        assert_same_result(report, solve(problem.with_objective("sum"), "greedy"))
+        raw = get_heuristic("greedy").run(
+            problem.with_objective("sum"),
+            **SolverConfig(method="greedy").method_kwargs(),
+        )
+        assert_same_result(report, raw)
 
     def test_report_shape(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=4)
@@ -95,25 +105,21 @@ class TestSolveEquivalence:
         assert report.lp_stats is not None  # session-backed at K=4
         assert "lprr" in repr(report)  # HeuristicResult repr preserved
 
-    def test_legacy_solve_returns_report(self, problem_factory):
-        report = solve(problem_factory(seed=0, n_clusters=4), "greedy")
-        assert isinstance(report, SolveReport)
-        assert report.config.method == "greedy"
-
 
 class TestBatchAndSweepEquivalence:
     def test_solve_many_matches_legacy_and_loop(self, problem_factory):
-        problems = [problem_factory(seed=s, n_clusters=4) for s in range(4)]
-        legacy = solve_many(problems, "lprr", rng=5)
-        facade = Solver.for_method("lprr").solve_many(problems, rng=5)
-        for a, b in zip(legacy, facade):
-            assert_same_result(a, b)
-        # ... and to a per-instance spawn-child solve (the PR-1 contract).
+        """``solve_many`` equals a loop of single solves, instance ``i``
+        under the ``i``-th spawn child of the batch seed."""
         from repro.util.rng import spawn_seed_sequences
 
-        first_seed = spawn_seed_sequences(5, len(problems))[0]
-        loose = solve(problems[0], "lprr", rng=np.random.default_rng(first_seed))
-        assert_same_result(loose, facade[0])
+        problems = [problem_factory(seed=s, n_clusters=4) for s in range(4)]
+        batch = Solver.for_method("lprr").solve_many(problems, rng=5)
+        seeds = spawn_seed_sequences(5, len(problems))
+        for problem, seed, report in zip(problems, seeds, batch):
+            loose = Solver.for_method("lprr").solve(
+                problem, rng=np.random.default_rng(seed)
+            )
+            assert_same_result(loose, report)
 
     def test_solve_many_batch_reuses_state(self, problem_factory):
         problem = problem_factory(seed=3, n_clusters=4)
@@ -129,10 +135,11 @@ class TestBatchAndSweepEquivalence:
             assert report.cache_stats["build_hits"] == 5
 
     def test_sweep_matches_legacy_run_sweep(self):
-        from repro.experiments import run_sweep, sample_settings
+        """A default sweep equals a sweep of the named ``calibrated``
+        scenario."""
+        from repro.experiments import sample_settings
 
         settings = sample_settings(2, rng=4, k_values=[5])
-        legacy = run_sweep(settings, n_platforms=1, rng=9)
         facade = Solver(SolverConfig()).sweep(settings, n_platforms=1, rng=9)
         named = Solver(SolverConfig()).sweep(
             settings, scenario="calibrated", n_platforms=1, rng=9
@@ -145,37 +152,35 @@ class TestBatchAndSweepEquivalence:
                 for r in rows
             ]
 
-        assert key(legacy) == key(facade) == key(named)
+        assert key(facade) == key(named)
 
 
 class TestOptionRejection:
-    """The bugfix satellite: unknown options error instead of no-op."""
+    """Unknown options raise instead of being silently ignored."""
 
-    def test_unknown_option_suggests_nearest(self, problem_factory):
-        problem = problem_factory(seed=0, n_clusters=3)
+    def test_unknown_option_suggests_nearest(self):
         with pytest.raises(SolverError, match="eager_integer_fixing"):
-            solve(problem, "lprr", eager_integer_fixng=True)
+            Solver.for_method("lprr", eager_integer_fixng=True)
 
-    def test_unknown_option_lists_valid(self, problem_factory):
-        problem = problem_factory(seed=0, n_clusters=3)
+    def test_unknown_option_lists_valid(self):
         with pytest.raises(SolverError, match="valid options"):
-            solve(problem, "greedy", selektion="literal")
+            Solver.for_method("greedy", selektion="literal")
 
-    def test_option_of_other_method_rejected(self, problem_factory):
-        problem = problem_factory(seed=0, n_clusters=3)
+    def test_option_of_other_method_rejected(self):
         with pytest.raises(SolverError, match="max_iters"):
-            solve(problem, "greedy", max_iters=3)
+            Solver.for_method("greedy", max_iters=3)
 
-    def test_solve_many_validates_too(self, problem_factory):
+    def test_solve_many_validates_too(self):
         with pytest.raises(SolverError, match="did you mean"):
-            solve_many(
-                [problem_factory(seed=0, n_clusters=3)], "lprr", wam_start=False
-            )
+            Solver.for_method("lprr", jobs=2, chunk_size=1, wam_start=False)
 
     def test_valid_options_still_flow(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=4)
-        report = solve(problem, "lprr", rng=0, eager_integer_fixing=True,
-                       warm_start=False, lp_backend="session")
+        solver = Solver.for_method(
+            "lprr", eager_integer_fixing=True, warm_start=False,
+            lp_backend="session",
+        )
+        report = solver.solve(problem, rng=0)
         assert report.allocation is not None
         assert report.meta["lp_backend"] == "session"
 
@@ -214,7 +219,8 @@ class TestOptionRejection:
                     {"method": "lprr", "options": {name: True}}
                 ),
                 lambda: SolverConfig.for_method("lprr", **{name: True}),
-                lambda: solve(problem, "lprr", **{name: True}),
+                lambda: Solver.for_method("lprr", **{name: True}),
+                lambda: get_heuristic("lprr").run(problem, **{name: True}),
             ):
                 with pytest.raises(SolverError, match=f"'{name}' was removed"):
                     build()
@@ -244,6 +250,43 @@ class TestSolverConfig:
             SolverConfig(jobs=0)
         with pytest.raises(SolverError):
             SolverConfig(chunk_size=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("warm_start", "false"),
+            ("warm_start", 0),
+            ("resume", "false"),
+            ("stream", "false"),
+            ("jobs", "2"),
+            ("jobs", 2.0),
+            ("jobs", True),
+            ("chunk_size", "2"),
+            ("shards", "2"),
+        ],
+    )
+    def test_flags_and_counts_are_type_checked(self, field, value):
+        """A JSON ``"false"`` is truthy and ``"2"`` is no count: each is
+        refused naming its field, at every way of building a config."""
+        for build in (
+            lambda: SolverConfig(**{field: value}),
+            lambda: SolverConfig.from_dict({field: value}),
+            lambda: Solver.for_method("lprr", **{field: value}),
+        ):
+            with pytest.raises(SolverError, match=repr(field)):
+                build()
+
+    def test_numpy_counts_are_stored_as_int(self):
+        config = SolverConfig(jobs=np.int64(2), chunk_size=np.int32(3))
+        assert type(config.jobs) is int and config.jobs == 2
+        assert type(config.chunk_size) is int and config.chunk_size == 3
+
+    def test_retry_quarantine_is_type_checked(self):
+        with pytest.raises(ValueError, match="'quarantine'"):
+            RetryPolicy(quarantine="false")
+        with pytest.raises(ValueError, match="'quarantine'"):
+            SolverConfig.from_dict({"retry": {"quarantine": "false"}})
+        assert RetryPolicy(quarantine=False).quarantine is False
 
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SolverError, match="checkpoint"):
@@ -347,7 +390,9 @@ class TestMethodInfo:
 
 
 class TestApiDoctests:
-    @pytest.mark.parametrize("module_name", ["repro", "repro.core.solve"])
+    @pytest.mark.parametrize(
+        "module_name", ["repro", "repro.heuristics.base"]
+    )
     def test_module_doctests(self, module_name):
         import importlib
 

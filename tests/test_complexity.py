@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import solve, validate_allocation
+from repro import Solver, validate_allocation
 from repro.complexity import (
     allocation_from_independent_set,
     exact_max_independent_set,
@@ -119,7 +119,7 @@ class TestSolutionMappings:
         n, edges = graph
         inst = reduce_mis_to_scheduling(n, edges, bound=1)
         mis = exact_max_independent_set(n, edges)
-        result = solve(inst.problem(), "milp")
+        result = Solver.for_method("milp").solve(inst.problem())
         assert result.value == pytest.approx(len(mis), abs=1e-6)
         back = independent_set_from_allocation(inst, result.allocation)
         assert is_independent_set(n, edges, back)
@@ -131,6 +131,6 @@ class TestSolutionMappings:
             n = int(rng.integers(3, 7))
             edges = random_graph_edges(n, 0.5, rng)
             inst = reduce_mis_to_scheduling(n, edges, bound=1)
-            result = solve(inst.problem(), "greedy")
+            result = Solver.for_method("greedy").solve(inst.problem())
             back = independent_set_from_allocation(inst, result.allocation)
             assert is_independent_set(n, edges, back)

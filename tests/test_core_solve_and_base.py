@@ -1,11 +1,22 @@
-"""Tests for the solve() façade, heuristic base plumbing, and errors."""
+"""Tests for solving through ``Solver``, heuristic base plumbing, and
+errors."""
 
 import numpy as np
 import pytest
 
-from repro import ReproError, SteadyStateProblem, ValidationError, line_platform, solve
-from repro.core.solve import available_methods
-from repro.heuristics.base import Heuristic, HeuristicResult, get_heuristic
+from repro import (
+    ReproError,
+    Solver,
+    SteadyStateProblem,
+    ValidationError,
+    line_platform,
+)
+from repro.heuristics.base import (
+    Heuristic,
+    HeuristicResult,
+    available_methods,
+    get_heuristic,
+)
 from repro.util.errors import (
     InfeasibleError,
     PlatformError,
@@ -23,25 +34,29 @@ class TestSolveFacade:
         assert "lprg" in methods and "milp" in methods
         assert methods == tuple(sorted(methods))
 
-    def test_unknown_method(self, problem_factory):
+    def test_unknown_method(self):
         with pytest.raises(ValueError):
-            solve(problem_factory(), method="quantum-annealing")
+            Solver.for_method("quantum-annealing")
 
     def test_case_insensitive(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=3)
-        assert solve(problem, "LPRG").method == "lprg"
+        assert Solver.for_method("LPRG").solve(problem).method == "lprg"
 
     def test_runtime_recorded(self, problem_factory):
-        result = solve(problem_factory(seed=0, n_clusters=4), "lprg")
+        result = Solver.for_method("lprg").solve(
+            problem_factory(seed=0, n_clusters=4)
+        )
         assert result.runtime > 0.0
 
     def test_kwargs_forwarded(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=4)
-        result = solve(problem, "lprr", rng=0, eager_integer_fixing=True)
-        assert result.allocation is not None
+        solver = Solver.for_method("lprr", eager_integer_fixing=True)
+        assert solver.solve(problem, rng=0).allocation is not None
 
     def test_result_repr(self, problem_factory):
-        result = solve(problem_factory(seed=0, n_clusters=3), "greedy")
+        result = Solver.for_method("greedy").solve(
+            problem_factory(seed=0, n_clusters=3)
+        )
         assert "greedy" in repr(result)
         assert result.is_schedule
 
@@ -68,7 +83,9 @@ class TestHeuristicBase:
         # On most random platforms the relaxation is fractional, but if
         # it happens to be integral an allocation IS attached; either
         # way, the flag and the field must agree.
-        result = solve(problem_factory(seed=0, n_clusters=5), "lp")
+        result = Solver.for_method("lp").solve(
+            problem_factory(seed=0, n_clusters=5)
+        )
         assert result.is_schedule == (result.allocation is not None)
 
 

@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.api import Solver, SolverConfig
-from repro.experiments import run_sweep, sample_settings
+from repro.experiments import sample_settings
 from repro.experiments.cli import main
 from repro.experiments.persistence import load_rows_csv, load_rows_jsonl
 from repro.parallel.stream import SweepAccumulator
@@ -104,7 +104,7 @@ class TestShardedSweepEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self, sweep_def):
-        rows = run_sweep(sweep_def["settings"], **sweep_def["kwargs"])
+        rows = Solver().sweep(sweep_def["settings"], **sweep_def["kwargs"])
         agg = SweepAccumulator.from_rows(
             rows,
             methods=sweep_def["kwargs"]["methods"],
@@ -126,14 +126,15 @@ class TestShardedSweepEquivalence:
         self, sweep_def, reference, backend, shards
     ):
         _, ref_agg = reference
-        agg = run_sweep(
-            sweep_def["settings"],
-            stream=True,
-            shards=shards,
-            shard_backend=backend,
-            jobs=2,  # real concurrency for the pool/subprocess backends
-            **sweep_def["kwargs"],
+        solver = Solver(
+            SolverConfig(
+                stream=True,
+                shards=shards,
+                shard_backend=backend,
+                jobs=2,  # real concurrency for the pool/subprocess backends
+            )
         )
+        agg = solver.sweep(sweep_def["settings"], **sweep_def["kwargs"])
         assert tables_sans_runtime(agg) == tables_sans_runtime(ref_agg)
 
     def test_facade_sweep_returns_merged_accumulator(
@@ -153,15 +154,16 @@ class TestShardedSweepEquivalence:
     ):
         rows, _ = reference
         sink = tmp_path / f"rows{suffix}"
-        run_sweep(
-            sweep_def["settings"],
-            stream=True,
-            shards=3,
-            shard_backend="inline",
-            shard_dir=tmp_path / "shards",
-            row_sink=sink,
-            **sweep_def["kwargs"],
+        solver = Solver(
+            SolverConfig(
+                stream=True,
+                shards=3,
+                shard_backend="inline",
+                shard_dir=str(tmp_path / "shards"),
+                row_sink=str(sink),
+            )
         )
+        solver.sweep(sweep_def["settings"], **sweep_def["kwargs"])
         loader = load_rows_csv if suffix == ".csv" else load_rows_jsonl
         assert_rows_identical(loader(sink), rows)
 
@@ -173,26 +175,18 @@ class TestShardedSweepEquivalence:
         campaign: the merged aggregate must equal the serial fold."""
         _, ref_agg = reference
         shard_dir = tmp_path / "shards"
-        run_sweep(
-            sweep_def["settings"],
-            stream=True,
-            shards=3,
-            shard_backend="inline",
-            shard_dir=shard_dir,
-            **sweep_def["kwargs"],
+        sharded = dict(
+            stream=True, shards=3, shard_backend="inline", shard_dir=str(shard_dir)
+        )
+        Solver(SolverConfig(**sharded)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         ckpt = shard_dir / "shard-0000.ckpt"
         lines = ckpt.read_text().splitlines()
         ckpt.write_text("\n".join(lines[:2]) + "\n")  # header + 1 task
         (shard_dir / "shard-0000.ckpt.state").unlink()
-        resumed = run_sweep(
-            sweep_def["settings"],
-            stream=True,
-            shards=3,
-            shard_backend="inline",
-            shard_dir=shard_dir,
-            resume=True,
-            **sweep_def["kwargs"],
+        resumed = Solver(SolverConfig(**sharded, resume=True)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         assert tables_sans_runtime(resumed) == tables_sans_runtime(ref_agg)
 
@@ -201,27 +195,25 @@ class TestShardedSweepEquivalence:
         at a time, N = N concurrent shards — results identical."""
         _, ref_agg = reference
         for jobs in (1, 2):
-            agg = run_sweep(
-                sweep_def["settings"],
-                stream=True,
-                shards=3,
-                shard_backend="process",
-                jobs=jobs,
-                **sweep_def["kwargs"],
+            solver = Solver(
+                SolverConfig(
+                    stream=True, shards=3, shard_backend="process", jobs=jobs
+                )
             )
+            agg = solver.sweep(sweep_def["settings"], **sweep_def["kwargs"])
             assert tables_sans_runtime(agg) == tables_sans_runtime(ref_agg)
 
     def test_completed_campaign_resume_recomputes_nothing(
         self, sweep_def, tmp_path, monkeypatch
     ):
-        shard_dir = tmp_path / "shards"
-        first = run_sweep(
-            sweep_def["settings"],
+        sharded = dict(
             stream=True,
             shards=2,
             shard_backend="inline",
-            shard_dir=shard_dir,
-            **sweep_def["kwargs"],
+            shard_dir=str(tmp_path / "shards"),
+        )
+        first = Solver(SolverConfig(**sharded)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
 
         def forbidden(task):  # pragma: no cover - must not be reached
@@ -229,14 +221,8 @@ class TestShardedSweepEquivalence:
 
         monkeypatch.setattr("repro.parallel.sweep.run_sweep_task", forbidden)
         monkeypatch.setattr("repro.parallel.run_sweep_task", forbidden)
-        resumed = run_sweep(
-            sweep_def["settings"],
-            stream=True,
-            shards=2,
-            shard_backend="inline",
-            shard_dir=shard_dir,
-            resume=True,
-            **sweep_def["kwargs"],
+        resumed = Solver(SolverConfig(**sharded, resume=True)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         # snapshot-restored shards preserve even the runtime table
         assert json.dumps(resumed.tables(), sort_keys=True) == json.dumps(
@@ -411,7 +397,7 @@ class TestCli:
         tables = json.loads(out_json.read_text())
         assert tables["n_tasks"] == 2
         # the written tables are exactly the serial fold's
-        rows = run_sweep(
+        rows = Solver().sweep(
             settings, methods=("greedy",), objectives=("maxmin",),
             n_platforms=1, rng=4,
         )

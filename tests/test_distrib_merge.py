@@ -211,9 +211,9 @@ class TestMergeShardsOnDisk:
 
     @pytest.fixture(scope="class")
     def reference(self, tiny_campaign):
-        from repro.experiments import run_sweep
+        from repro import Solver
 
-        rows = run_sweep(
+        rows = Solver().sweep(
             tiny_campaign["settings"],
             scenario=tiny_campaign["scenario"],
             methods=tiny_campaign["methods"],

@@ -7,7 +7,7 @@ import pytest
 
 import repro.platform.presets
 import repro.util.tables
-from repro import SteadyStateProblem, line_platform, solve
+from repro import Solver, SteadyStateProblem, line_platform
 from repro.lp.builder import build_lp
 from repro.lp.scipy_backend import solve_lp_scipy
 
@@ -59,11 +59,11 @@ class TestBaseThroughputOffsets:
 class TestMiscSolverPaths:
     def test_milp_time_limit_parameter_accepted(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=3)
-        result = solve(problem, "milp", time_limit=60.0)
+        result = Solver.for_method("milp", time_limit=60.0).solve(problem)
         assert result.allocation is not None
 
     def test_solve_validates_output(self, problem_factory):
         """The façade re-validates; a valid heuristic passes through."""
         problem = problem_factory(seed=1, n_clusters=4)
-        result = solve(problem, "lprg-it")
+        result = Solver.for_method("lprg-it").solve(problem)
         assert problem.check(result.allocation).ok

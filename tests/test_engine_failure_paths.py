@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import BackboneLink, Cluster, Platform, SteadyStateProblem, solve
+from repro import BackboneLink, Cluster, Platform, Solver, SteadyStateProblem
 from repro.heuristics.greedy import greedy_allocate
 from repro.schedule.periodic import PeriodicSchedule
 from repro.simulation import FlowSimulator
@@ -101,5 +101,5 @@ class TestGreedySelectionOption:
 
     def test_selection_via_registry(self, problem_factory):
         problem = problem_factory(seed=1, n_clusters=4)
-        result = solve(problem, "greedy", selection="literal")
+        result = Solver.for_method("greedy", selection="literal").solve(problem)
         assert problem.check(result.allocation).ok

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Solver
 from repro.experiments import (
     PAPER_GRID,
     Scenario,
@@ -17,7 +18,6 @@ from repro.experiments import (
     mean_ratio_by_k,
     render_figure,
     run_setting,
-    run_sweep,
     sample_settings,
     spec_for,
 )
@@ -119,7 +119,7 @@ class TestRunner:
             assert r.ratio == pytest.approx(1.0, abs=1e-6)
 
     def test_run_sweep_concatenates(self):
-        rows = run_sweep(
+        rows = Solver().sweep(
             [_setting(), _setting(k=7)],
             methods=("greedy",), objectives=("maxmin",), n_platforms=1, rng=0,
         )
@@ -130,7 +130,7 @@ class TestAggregates:
     @pytest.fixture(scope="class")
     def rows(self):
         settings = [_setting(k=4), _setting(k=6)]
-        return run_sweep(
+        return Solver().sweep(
             settings, methods=("greedy", "lpr", "lprg"),
             objectives=("maxmin", "sum"), n_platforms=2, rng=7,
         )

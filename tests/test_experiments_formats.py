@@ -111,3 +111,10 @@ class TestScenarioDict:
     def test_malformed_number_names_its_field(self):
         with pytest.raises(ValueError, match="'speed'"):
             Scenario.from_dict({"speed": "fast"})
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_flag_takes_only_a_boolean(self, value):
+        """``bool("false")`` is ``True``: a flag that is not a boolean is
+        refused, naming its field, instead of switching on."""
+        with pytest.raises(ValueError, match="'apply_speed_heterogeneity'"):
+            Scenario.from_dict({"apply_speed_heterogeneity": value})

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments import run_sweep, sample_settings
+from repro import Solver
+from repro.experiments import sample_settings
 from repro.experiments.cli import main
 from repro.experiments.trends import (
     PARAMETERS,
@@ -15,7 +16,7 @@ from repro.experiments.trends import (
 @pytest.fixture(scope="module")
 def rows():
     settings = sample_settings(4, rng=2, k_values=[5, 8])
-    return run_sweep(
+    return Solver().sweep(
         settings,
         methods=("greedy", "lprg"),
         objectives=("maxmin", "sum"),

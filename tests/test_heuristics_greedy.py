@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro import (
+    Solver,
     SteadyStateProblem,
     fully_connected_platform,
     line_platform,
-    solve,
     star_platform,
 )
 from repro.heuristics.greedy import greedy_allocate
@@ -117,7 +117,7 @@ class TestWarmStart:
 
     def test_runs_via_registry(self, problem_factory):
         problem = problem_factory(seed=5, n_clusters=5)
-        result = solve(problem, method="g")
+        result = Solver.for_method("g").solve(problem)
         assert result.method == "greedy"
         assert result.n_lp_solves == 0
         assert result.value == pytest.approx(problem.objective_value(result.allocation))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import SteadyStateProblem, solve, star_platform
+from repro import Solver, SteadyStateProblem, star_platform
 from repro.heuristics.base import get_heuristic, registry
 from repro.heuristics.lpr import _floor_snapped, round_down
 from repro.lp.builder import build_lp
@@ -50,13 +50,13 @@ class TestLPR:
     def test_result_valid(self, problem_factory):
         for seed in range(4):
             problem = problem_factory(seed=seed, n_clusters=6)
-            result = solve(problem, "lpr")
+            result = Solver.for_method("lpr").solve(problem)
             assert problem.check(result.allocation).ok
 
     def test_bounded_by_relaxation(self, problem_factory):
         problem = problem_factory(seed=1, n_clusters=6)
-        lpr = solve(problem, "lpr")
-        lp = solve(problem, "lp")
+        lpr = Solver.for_method("lpr").solve(problem)
+        lp = Solver.for_method("lp").solve(problem)
         assert lpr.value <= lp.value + 1e-6
         assert lpr.meta["relaxation_value"] == pytest.approx(lp.value, rel=1e-9)
 
@@ -77,40 +77,40 @@ class TestLPR:
             backbone_links=[BackboneLink("L", ("R0", "R1"), bw=10.0, max_connect=1)],
         )
         problem = SteadyStateProblem(platform, [1, 1, 0], objective="maxmin")
-        lp = solve(problem, "lp")
-        lpr = solve(problem, "lpr")
+        lp = Solver.for_method("lp").solve(problem)
+        lpr = Solver.for_method("lpr").solve(problem)
         assert lp.value == pytest.approx(5.0)
         assert lpr.value == pytest.approx(0.0)  # all betas rounded to 0
         # Bonus: here the TRUE optimum is 0 too - the LP bound is not
         # achievable by any integer solution (integrality gap).
-        assert solve(problem, "milp").value == pytest.approx(0.0)
+        assert Solver.for_method("milp").solve(problem).value == pytest.approx(0.0)
 
 
 class TestLPRG:
     def test_dominates_lpr(self, problem_factory):
         for seed in range(5):
             problem = problem_factory(seed=seed, n_clusters=6)
-            lpr = solve(problem, "lpr")
-            lprg = solve(problem, "lprg")
+            lpr = Solver.for_method("lpr").solve(problem)
+            lprg = Solver.for_method("lprg").solve(problem)
             assert lprg.value >= lpr.value - 1e-9
 
     def test_repairs_the_lpr_failure(self):
         platform = star_platform(1, hub_speed=0.0, g=20.0, bw=40.0, max_connect=1)
         problem = SteadyStateProblem(platform, [1, 0], objective="maxmin")
-        lprg = solve(problem, "lprg")
+        lprg = Solver.for_method("lprg").solve(problem)
         # Greedy reclaims the connection: min(g_hub, bw, g_leaf, s) = 20.
         assert lprg.value == pytest.approx(20.0)
 
     def test_result_valid(self, problem_factory):
         for seed in range(5):
             problem = problem_factory(seed=seed, n_clusters=6)
-            result = solve(problem, "lprg")
+            result = Solver.for_method("lprg").solve(problem)
             report = problem.check(result.allocation)
             assert report.ok, report.violations
 
     def test_meta_records_stage_values(self, problem_factory):
         problem = problem_factory(seed=2, n_clusters=5)
-        result = solve(problem, "lprg")
+        result = Solver.for_method("lprg").solve(problem)
         assert result.meta["lpr_value"] <= result.value + 1e-9
         assert result.value <= result.meta["relaxation_value"] + 1e-6
 
@@ -119,32 +119,34 @@ class TestLPRR:
     def test_result_valid_and_bounded(self, problem_factory):
         for seed in range(3):
             problem = problem_factory(seed=seed, n_clusters=5)
-            result = solve(problem, "lprr", rng=seed)
+            result = Solver.for_method("lprr").solve(problem, rng=seed)
             assert problem.check(result.allocation).ok
-            assert result.value <= solve(problem, "lp").value + 1e-6
+            assert result.value <= Solver.for_method("lp").solve(problem).value + 1e-6
 
     def test_lp_solve_count_is_routes_plus_one(self, problem_factory):
         problem = problem_factory(seed=4, n_clusters=5)
         inst = build_lp(problem)
-        result = solve(problem, "lprr", rng=0)
+        result = Solver.for_method("lprr").solve(problem, rng=0)
         assert result.n_lp_solves == inst.index.n_beta + 1
 
     def test_eager_fixing_cuts_lp_count(self, problem_factory):
         problem = problem_factory(seed=4, n_clusters=5)
-        lazy = solve(problem, "lprr", rng=0)
-        eager = solve(problem, "lprr", rng=0, eager_integer_fixing=True)
+        lazy = Solver.for_method("lprr").solve(problem, rng=0)
+        eager = Solver.for_method("lprr", eager_integer_fixing=True).solve(
+            problem, rng=0
+        )
         assert eager.n_lp_solves <= lazy.n_lp_solves
         assert problem.check(eager.allocation).ok
 
     def test_deterministic_given_seed(self, problem_factory):
         problem = problem_factory(seed=5, n_clusters=5)
-        a = solve(problem, "lprr", rng=11)
-        b = solve(problem, "lprr", rng=11)
+        a = Solver.for_method("lprr").solve(problem, rng=11)
+        b = Solver.for_method("lprr").solve(problem, rng=11)
         assert a.value == pytest.approx(b.value)
 
     def test_equal_probability_variant_valid(self, problem_factory):
         problem = problem_factory(seed=6, n_clusters=5)
-        result = solve(problem, "lprr-eq", rng=0)
+        result = Solver.for_method("lprr-eq").solve(problem, rng=0)
         assert problem.check(result.allocation).ok
 
 
@@ -153,17 +155,17 @@ class TestBounds:
         for seed in range(3):
             for objective in ("maxmin", "sum"):
                 problem = problem_factory(seed=seed, n_clusters=5, objective=objective)
-                lp = solve(problem, "lp").value
+                lp = Solver.for_method("lp").solve(problem).value
                 for method in ("greedy", "lpr", "lprg", "lprr", "milp"):
-                    value = solve(problem, method, rng=0).value
+                    value = Solver.for_method(method).solve(problem, rng=0).value
                     assert value <= lp + 1e-5, (method, objective, seed)
 
     def test_milp_dominates_heuristics(self, problem_factory):
         for seed in range(3):
             problem = problem_factory(seed=seed, n_clusters=5)
-            exact = solve(problem, "milp").value
+            exact = Solver.for_method("milp").solve(problem).value
             for method in ("greedy", "lpr", "lprg", "lprr"):
-                value = solve(problem, method, rng=0).value
+                value = Solver.for_method(method).solve(problem, rng=0).value
                 assert value <= exact + 1e-5, (method, seed)
 
     def test_lp_bound_has_no_allocation_when_fractional(self):
@@ -180,11 +182,11 @@ class TestBounds:
             backbone_links=[BackboneLink("L", ("R0", "R1"), bw=10.0, max_connect=1)],
         )
         problem = SteadyStateProblem(platform, [1, 1, 0], objective="maxmin")
-        result = solve(problem, "lp")
+        result = Solver.for_method("lp").solve(problem)
         assert result.allocation is None  # betas = 0.5 are fractional
 
     def test_bnb_equals_milp(self, problem_factory):
         problem = problem_factory(seed=8, n_clusters=4)
-        assert solve(problem, "bnb").value == pytest.approx(
-            solve(problem, "milp").value, rel=1e-5, abs=1e-5
+        assert Solver.for_method("bnb").solve(problem).value == pytest.approx(
+            Solver.for_method("milp").solve(problem).value, rel=1e-5, abs=1e-5
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import solve
+from repro import Solver
 from repro.heuristics.lprg_iterated import residual_platform
 from repro.platform.topology import CapacityLedger
 
@@ -34,21 +34,23 @@ class TestResidualPlatform:
 class TestIteratedLPRG:
     def test_registered(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=5)
-        result = solve(problem, "lprgi")
+        result = Solver.for_method("lprgi").solve(problem)
         assert result.method == "lprg-it"
         assert 1 <= result.n_lp_solves <= 4
 
     def test_valid_and_bounded(self, problem_factory):
         for seed in range(4):
             problem = problem_factory(seed=seed, n_clusters=6)
-            it = solve(problem, "lprg-it")
+            it = Solver.for_method("lprg-it").solve(problem)
             assert problem.check(it.allocation).ok
-            assert it.value <= solve(problem, "lp").value + 1e-6
+            assert it.value <= Solver.for_method("lp").solve(problem).value + 1e-6
 
     def test_dominates_lpr(self, problem_factory):
         for seed in range(4):
             problem = problem_factory(seed=seed, n_clusters=6)
-            assert solve(problem, "lprg-it").value >= solve(problem, "lpr").value - 1e-9
+            it = Solver.for_method("lprg-it").solve(problem)
+            lpr = Solver.for_method("lpr").solve(problem)
+            assert it.value >= lpr.value - 1e-9
 
     def test_comparable_to_lprg(self, problem_factory):
         """No dominance theorem exists either way: re-rounding commits to
@@ -57,15 +59,17 @@ class TestIteratedLPRG:
         rel_diffs = []
         for seed in range(6):
             problem = problem_factory(seed=seed, n_clusters=6)
-            lprg = solve(problem, "lprg").value
-            it = solve(problem, "lprg-it").value
+            lprg = Solver.for_method("lprg").solve(problem).value
+            it = Solver.for_method("lprg-it").solve(problem).value
             if lprg > 0:
                 rel_diffs.append((it - lprg) / lprg)
         assert all(d >= -0.10 for d in rel_diffs), rel_diffs
 
     def test_max_iters_validation(self, problem_factory):
         with pytest.raises(ValueError):
-            solve(problem_factory(seed=0, n_clusters=3), "lprg-it", max_iters=0)
+            Solver.for_method("lprg-it", max_iters=0).solve(
+                problem_factory(seed=0, n_clusters=3)
+            )
 
     def test_single_iteration_close_to_lprg(self, problem_factory):
         """One iteration rounds one LP solution, like plain lprg.
@@ -77,13 +81,15 @@ class TestIteratedLPRG:
         machinery, not LP tie-breaking.
         """
         problem = problem_factory(seed=2, n_clusters=5)
-        one = solve(problem, "lprg-it", max_iters=1, lp_backend="scipy")
-        lprg = solve(problem, "lprg")
+        one = Solver.for_method(
+            "lprg-it", max_iters=1, lp_backend="scipy"
+        ).solve(problem)
+        lprg = Solver.for_method("lprg").solve(problem)
         assert one.value == pytest.approx(lprg.value, rel=0.05)
 
     @given(problems(max_clusters=5))
     @settings(max_examples=10)
     def test_always_valid_property(self, problem):
-        result = solve(problem, "lprg-it")
+        result = Solver.for_method("lprg-it").solve(problem)
         report = problem.check(result.allocation)
         assert report.ok, report.violations

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro import (
+    Solver,
     SteadyStateProblem,
     generate_platform,
     load_platform,
     save_platform,
-    solve,
 )
 from repro.platform.generator import PlatformSpec
 from repro.platform.presets import get_preset
@@ -30,7 +30,7 @@ class TestFullPipeline:
         payoffs = [1.0] * K
         problem = SteadyStateProblem(platform, payoffs, objective="maxmin")
 
-        result = solve(problem, "lprg")
+        result = Solver.for_method("lprg").solve(problem)
         schedule = build_periodic_schedule(platform, result.allocation, denominator=200)
         trace = TraceRecorder()
         sim = FlowSimulator(platform, rate_policy="reserved", trace=trace)
@@ -57,8 +57,12 @@ class TestFullPipeline:
 
         payoffs = np.linspace(0.8, 1.2, 6)
         for objective in ("maxmin", "sum"):
-            a = solve(SteadyStateProblem(platform, payoffs, objective), "lprg").value
-            b = solve(SteadyStateProblem(clone, payoffs, objective), "lprg").value
+            a = Solver.for_method("lprg").solve(
+                SteadyStateProblem(platform, payoffs, objective)
+            ).value
+            b = Solver.for_method("lprg").solve(
+                SteadyStateProblem(clone, payoffs, objective)
+            ).value
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_tcp_refined_pipeline(self):
@@ -67,7 +71,7 @@ class TestFullPipeline:
             TcpModel(window=30.0, default_latency=2.0),
         )
         problem = SteadyStateProblem(platform, objective="maxmin")
-        result = solve(problem, "lprg")
+        result = Solver.for_method("lprg").solve(problem)
         schedule = build_periodic_schedule(platform, result.allocation, denominator=100)
         out = FlowSimulator(platform, rate_policy="reserved").run(schedule, n_periods=4)
         assert out.late_flows == 0
@@ -76,7 +80,7 @@ class TestFullPipeline:
         """The same allocation must score identically however obtained."""
         problem = problem_factory(seed=4, n_clusters=5)
         for method in ("greedy", "lpr", "lprg"):
-            result = solve(problem, method)
+            result = Solver.for_method(method).solve(problem)
             assert result.value == pytest.approx(
                 result.allocation.objective_value("maxmin", problem.payoffs)
             )
@@ -84,15 +88,15 @@ class TestFullPipeline:
     def test_sum_and_maxmin_relationship(self, problem_factory):
         """SUM optimum >= K_active * MAXMIN optimum (pigeonhole)."""
         problem = problem_factory(seed=5, n_clusters=5, objective="maxmin")
-        maxmin = solve(problem, "lp").value
-        total = solve(problem.with_objective("sum"), "lp").value
+        maxmin = Solver.for_method("lp").solve(problem).value
+        total = Solver.for_method("lp").solve(problem.with_objective("sum")).value
         n_active = int(problem.active_mask.sum())
         assert total >= n_active * maxmin - 1e-6
 
     def test_solution_is_json_reportable(self, problem_factory):
         """Results round-trip through plain JSON (tooling contract)."""
         problem = problem_factory(seed=6, n_clusters=4)
-        result = solve(problem, "lprg")
+        result = Solver.for_method("lprg").solve(problem)
         payload = {
             "method": result.method,
             "value": result.value,

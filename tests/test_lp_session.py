@@ -14,7 +14,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import repro.heuristics.lprr as lprr_mod
-from repro import SteadyStateProblem, generate_platform, solve
+from repro import Solver, SteadyStateProblem, generate_platform
 from repro.experiments.config import (
     DEFAULT_SCENARIO,
     PAPER_GRID,
@@ -235,9 +235,9 @@ class TestColdReferencePath:
         assert a.value == b.value
 
     def test_warm_cold_call_matches_cold_session(self, problem_factory):
-        """solve(warm_basis=None) on a warm session must be bitwise-
-        identical to the same call on a fresh session, and to a repeat
-        of it (shared final-solve arithmetic)."""
+        """``LPSession.solve(warm_basis=None)`` on a warm session must be
+        bitwise-identical to the same call on a fresh session, and to a
+        repeat of it (shared final-solve arithmetic)."""
         problem = problem_factory(seed=3, n_clusters=4)
         warm = LPSession(build_lp(problem))
         cold = LPSession(build_lp(problem))
@@ -258,25 +258,33 @@ class TestHeuristicWarmColdEquivalence:
         bitwise-identical allocations (the bench asserts this sweep-wide)."""
         for seed in range(3):
             problem = problem_factory(seed=seed, n_clusters=5, objective=objective)
-            warm = solve(problem, "lprr", rng=seed, warm_start=True,
-                         lp_backend="session")
-            cold = solve(problem, "lprr", rng=seed, warm_start=False,
-                         lp_backend="session")
+            warm = Solver.for_method(
+                "lprr", warm_start=True, lp_backend="session"
+            ).solve(problem, rng=seed)
+            cold = Solver.for_method(
+                "lprr", warm_start=False, lp_backend="session"
+            ).solve(problem, rng=seed)
             assert np.array_equal(warm.allocation.alpha, cold.allocation.alpha)
             assert np.array_equal(warm.allocation.beta, cold.allocation.beta)
             assert warm.value == cold.value
 
     def test_lprr_scipy_escape_hatch(self, problem_factory):
         problem = problem_factory(seed=1, n_clusters=5)
-        legacy = solve(problem, "lprr", rng=0, lp_backend="scipy")
+        legacy = Solver.for_method("lprr", lp_backend="scipy").solve(
+            problem, rng=0
+        )
         assert problem.check(legacy.allocation).ok
         assert "lp_stats" not in legacy.meta
         assert legacy.meta["lp_backend"] == "scipy"
 
     def test_lprr_warm_solves_fewer_iterations(self, problem_factory):
         problem = problem_factory(seed=2, n_clusters=5)
-        warm = solve(problem, "lprr", rng=7, warm_start=True, lp_backend="session")
-        cold = solve(problem, "lprr", rng=7, warm_start=False, lp_backend="session")
+        warm = Solver.for_method(
+            "lprr", warm_start=True, lp_backend="session"
+        ).solve(problem, rng=7)
+        cold = Solver.for_method(
+            "lprr", warm_start=False, lp_backend="session"
+        ).solve(problem, rng=7)
         assert warm.meta["lp_stats"]["iterations"] < cold.meta["lp_stats"]["iterations"]
         assert warm.meta["lp_stats"]["n_warm"] > 0
         assert cold.meta["lp_stats"]["n_warm"] == 0
@@ -291,9 +299,11 @@ class TestHeuristicWarmColdEquivalence:
         lp_bound = None
         for seed in range(3):
             problem = problem_factory(seed=seed, n_clusters=5, objective=objective)
-            lp_bound = solve(problem, "lp").value
-            warm = solve(problem, "lprg-it", warm_start=True, lp_backend="session")
-            legacy = solve(problem, "lprg-it", lp_backend="scipy")
+            lp_bound = Solver.for_method("lp").solve(problem).value
+            warm = Solver.for_method(
+                "lprg-it", warm_start=True, lp_backend="session"
+            ).solve(problem)
+            legacy = Solver.for_method("lprg-it", lp_backend="scipy").solve(problem)
             assert problem.check(warm.allocation).ok
             assert warm.value <= lp_bound + 1e-6
             assert legacy.value <= lp_bound + 1e-6
@@ -303,9 +313,9 @@ class TestHeuristicWarmColdEquivalence:
     def test_bnb_warm_matches_cold_and_milp(self, problem_factory):
         for seed in (0, 8):
             problem = problem_factory(seed=seed, n_clusters=4)
-            warm = solve(problem, "bnb", warm_start=True)
-            cold = solve(problem, "bnb", warm_start=False)
-            exact = solve(problem, "milp")
+            warm = Solver.for_method("bnb", warm_start=True).solve(problem)
+            cold = Solver.for_method("bnb", warm_start=False).solve(problem)
+            exact = Solver.for_method("milp").solve(problem)
             assert warm.value == pytest.approx(cold.value, rel=1e-5, abs=1e-5)
             assert warm.value == pytest.approx(exact.value, rel=1e-5, abs=1e-5)
 
@@ -314,11 +324,11 @@ class TestHeuristicWarmColdEquivalence:
         """Every registered allocation-producing method keeps its
         contract with the session subsystem in the loop."""
         problem = problem_factory(seed=4, n_clusters=5, objective=objective)
-        lp_bound = solve(problem, "lp").value
+        lp_bound = Solver.for_method("lp").solve(problem).value
         for name in sorted(registry()):
             if name == "lp":
                 continue
-            result = solve(problem, name, rng=0)
+            result = Solver.for_method(name).solve(problem, rng=0)
             assert problem.check(result.allocation).ok, name
             assert result.value <= lp_bound + 1e-5, name
 
@@ -328,7 +338,7 @@ class TestAutoBackendPolicy:
 
     def test_small_instances_prefer_session(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=4)
-        result = solve(problem, "lprr", rng=0)
+        result = Solver.for_method("lprr").solve(problem, rng=0)
         assert result.meta["lp_backend"] == "session"
         assert result.meta["lp_stats"]["n_warm"] > 0
 
@@ -336,7 +346,7 @@ class TestAutoBackendPolicy:
         """K=12 is past the size where a dense engine would lose to a
         cold HiGHS call; the revised engine keeps the session path."""
         problem = problem_factory(seed=0, n_clusters=12)
-        result = solve(problem, "lprr", rng=0)
+        result = Solver.for_method("lprr").solve(problem, rng=0)
         assert result.meta["lp_backend"] == "session"
         assert result.meta["lp_stats"]["n_warm"] > 0
 

@@ -1,10 +1,11 @@
 """Serial/parallel equivalence of the campaign subsystem.
 
 The contract under test: ``jobs`` (and chunking) change wall-clock time
-only — ``solve_many`` and ``run_sweep`` return *bitwise-identical*
-values, allocations and orderings for any worker count, for every
-registered method, across seeds and both objectives. Runtime fields are
-the one sanctioned difference (wall clocks are not deterministic).
+only — ``Solver.solve_many`` and ``Solver.sweep`` return
+*bitwise-identical* values, allocations and orderings for any worker
+count, for every registered method, across seeds and both objectives.
+Runtime fields are the one sanctioned difference (wall clocks are not
+deterministic).
 """
 
 from __future__ import annotations
@@ -14,10 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import PlatformSpec, SteadyStateProblem, generate_platform, solve
-from repro.core.solve import available_methods
-from repro.experiments import run_setting, run_sweep, sample_settings
-from repro.parallel import solve_many
+from repro import (
+    PlatformSpec,
+    Solver,
+    SolverConfig,
+    SteadyStateProblem,
+    generate_platform,
+)
+from repro.experiments import run_setting, sample_settings
+from repro.heuristics.base import available_methods
 from repro.util.rng import spawn_seed_sequences
 
 from tests.strategies import problems
@@ -76,17 +82,21 @@ class TestSolveMany:
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_parallel_matches_serial_every_method(self, method):
         problems_ = _fixed_problems()
-        serial = solve_many(problems_, method, rng=123, jobs=1)
-        parallel = solve_many(problems_, method, rng=123, jobs=2)
+        serial = Solver.for_method(method, jobs=1).solve_many(
+            problems_, rng=123
+        )
+        parallel = Solver.for_method(method, jobs=2).solve_many(
+            problems_, rng=123
+        )
         assert_results_identical(serial, parallel)
 
     @pytest.mark.parametrize("chunk_size", [1, 3])
     def test_chunking_does_not_change_results(self, chunk_size):
         problems_ = _fixed_problems()
-        serial = solve_many(problems_, "lprr", rng=7, jobs=1)
-        chunked = solve_many(
-            problems_, "lprr", rng=7, jobs=2, chunk_size=chunk_size
-        )
+        serial = Solver.for_method("lprr", jobs=1).solve_many(problems_, rng=7)
+        chunked = Solver.for_method(
+            "lprr", jobs=2, chunk_size=chunk_size
+        ).solve_many(problems_, rng=7)
         assert_results_identical(serial, chunked)
 
     @settings(max_examples=15)
@@ -96,18 +106,22 @@ class TestSolveMany:
         method=st.sampled_from(ALL_METHODS),
     )
     def test_batch_matches_individual_solves(self, problem, seed, method):
-        """solve_many is exactly per-problem solve() under spawned seeds."""
-        batch = solve_many([problem, problem], method, rng=seed)
+        """``Solver.solve_many`` is exactly ``Solver.solve`` per problem
+        under spawned seeds."""
+        solver = Solver.for_method(method)
+        batch = solver.solve_many([problem, problem], rng=seed)
         seeds = spawn_seed_sequences(seed, 2)
         direct = [
-            solve(problem, method, rng=np.random.default_rng(s))
+            Solver.for_method(method).solve(
+                problem, rng=np.random.default_rng(s)
+            )
             for s in seeds
         ]
         assert_results_identical(batch, direct)
 
     def test_results_keep_input_order(self):
         problems_ = _fixed_problems()
-        results = solve_many(problems_, "greedy", rng=0, jobs=2)
+        results = Solver.for_method("greedy", jobs=2).solve_many(problems_, rng=0)
         assert [r.objective for r in results] == [
             p.objective.name for p in problems_
         ]
@@ -123,8 +137,8 @@ class TestRunSweep:
             n_platforms=2,
             rng=5,
         )
-        serial = run_sweep(settings_, **kwargs)
-        parallel = run_sweep(settings_, jobs=4, **kwargs)
+        serial = Solver().sweep(settings_, **kwargs)
+        parallel = Solver(SolverConfig(jobs=4)).sweep(settings_, **kwargs)
         assert_rows_identical(serial, parallel)
 
     def test_randomized_method_stream_equivalence(self):
@@ -136,8 +150,10 @@ class TestRunSweep:
             n_platforms=2,
             rng=17,
         )
-        serial = run_sweep(settings_, **kwargs)
-        parallel = run_sweep(settings_, jobs=3, chunk_size=1, **kwargs)
+        serial = Solver().sweep(settings_, **kwargs)
+        parallel = Solver(SolverConfig(jobs=3, chunk_size=1)).sweep(
+            settings_, **kwargs
+        )
         assert_rows_identical(serial, parallel)
 
     @settings(max_examples=5, deadline=None)
@@ -151,8 +167,8 @@ class TestRunSweep:
             rng=seed,
         )
         assert_rows_identical(
-            run_sweep(settings_, **kwargs),
-            run_sweep(settings_, jobs=2, **kwargs),
+            Solver().sweep(settings_, **kwargs),
+            Solver(SolverConfig(jobs=2)).sweep(settings_, **kwargs),
         )
 
     def test_runner_seed_derivation_pinned(self):
@@ -162,7 +178,7 @@ class TestRunSweep:
         from repro.experiments.runner import run_replicate
 
         settings_ = sample_settings(2, rng=5, k_values=[4])
-        swept = run_sweep(
+        swept = Solver().sweep(
             settings_, methods=("greedy",), objectives=("sum",),
             n_platforms=2, rng=42,
         )
@@ -192,7 +208,7 @@ class TestRunSweep:
     def test_run_sweep_matches_run_setting_concatenation(self):
         """The engine path reproduces the historical serial definition."""
         settings_ = sample_settings(2, rng=3, k_values=[4, 5])
-        swept = run_sweep(
+        swept = Solver().sweep(
             settings_, methods=("greedy",), objectives=("maxmin",),
             n_platforms=2, rng=3,
         )

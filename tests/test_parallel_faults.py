@@ -11,7 +11,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.experiments import run_setting, run_sweep, sample_settings
+from repro.api import Solver, SolverConfig
+from repro.experiments import run_setting, sample_settings
 from repro.experiments.persistence import row_to_dict
 from repro.parallel import (
     CampaignCheckpoint,
@@ -331,7 +332,7 @@ class TestSweepFaults:
     def test_worker_exception_propagates_from_run_sweep(self):
         settings_ = sample_settings(1, rng=0, k_values=[4])
         with pytest.raises(SolverError, match="no-such-method"):
-            run_sweep(
+            Solver().sweep(
                 settings_, methods=("no-such-method",),
                 objectives=("sum",), n_platforms=1, rng=0,
             )
@@ -344,13 +345,14 @@ class TestSweepFaults:
             n_platforms=2, rng=8,
         )
         path = tmp_path / "sweep.ckpt"
-        full = run_sweep(settings_, checkpoint=path, jobs=jobs, **kwargs)
+        checkpointed = dict(checkpoint=str(path), jobs=jobs)
+        full = Solver(SolverConfig(**checkpointed)).sweep(settings_, **kwargs)
 
         # interrupt: keep the header and the first completed task only
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2]) + "\n")
-        resumed = run_sweep(
-            settings_, checkpoint=path, resume=True, jobs=jobs, **kwargs
+        resumed = Solver(SolverConfig(**checkpointed, resume=True)).sweep(
+            settings_, **kwargs
         )
         assert_rows_identical(full, resumed)
 
@@ -359,8 +361,10 @@ class TestSweepFaults:
         kwargs = dict(
             methods=("greedy",), objectives=("sum",), n_platforms=2, rng=4,
         )
-        path = tmp_path / "sweep.ckpt"
-        full = run_sweep(settings_, checkpoint=path, **kwargs)
+        checkpoint = str(tmp_path / "sweep.ckpt")
+        full = Solver(SolverConfig(checkpoint=checkpoint)).sweep(
+            settings_, **kwargs
+        )
 
         import repro.parallel.sweep as sweep_mod
 
@@ -371,26 +375,31 @@ class TestSweepFaults:
         monkeypatch.setattr(
             "repro.parallel.run_sweep_task", forbidden
         )
-        resumed = run_sweep(
-            settings_, checkpoint=path, resume=True, **kwargs
+        resumed = Solver(SolverConfig(checkpoint=checkpoint, resume=True)).sweep(
+            settings_, **kwargs
         )
         assert_rows_identical(full, resumed)
 
     def test_resume_into_different_sweep_fails(self, tmp_path):
         settings_ = sample_settings(1, rng=4, k_values=[4])
-        path = tmp_path / "sweep.ckpt"
-        run_sweep(settings_, methods=("greedy",), objectives=("sum",),
-                  n_platforms=1, rng=4, checkpoint=path)
+        checkpoint = str(tmp_path / "sweep.ckpt")
+        Solver(SolverConfig(checkpoint=checkpoint)).sweep(
+            settings_, methods=("greedy",), objectives=("sum",),
+            n_platforms=1, rng=4,
+        )
         with pytest.raises(CheckpointError, match="different campaign"):
-            run_sweep(settings_, methods=("greedy",), objectives=("sum",),
-                      n_platforms=1, rng=5,  # different seed
-                      checkpoint=path, resume=True)
+            Solver(SolverConfig(checkpoint=checkpoint, resume=True)).sweep(
+                settings_, methods=("greedy",), objectives=("sum",),
+                n_platforms=1, rng=5,  # different seed
+            )
 
     def test_checkpoint_stores_real_rows(self, tmp_path):
         settings_ = sample_settings(1, rng=4, k_values=[4])
         path = tmp_path / "sweep.ckpt"
-        rows = run_sweep(settings_, methods=("greedy",), objectives=("sum",),
-                         n_platforms=1, rng=4, checkpoint=path)
+        rows = Solver(SolverConfig(checkpoint=str(path))).sweep(
+            settings_, methods=("greedy",), objectives=("sum",),
+            n_platforms=1, rng=4,
+        )
         import json
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert lines[0]["kind"] == "campaign" and lines[0]["n_tasks"] == 1
@@ -406,9 +415,9 @@ class TestSweepFaults:
 
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", boom)
         settings_ = sample_settings(2, rng=6, k_values=[4])
-        swept = run_sweep(
+        swept = Solver(SolverConfig(jobs=1)).sweep(
             settings_, methods=("greedy", "lpr"), objectives=("maxmin",),
-            n_platforms=2, rng=6, jobs=1,
+            n_platforms=2, rng=6,
         )
         manual = []
         for setting, seed in zip(settings_, spawn_seed_sequences(6, 2)):

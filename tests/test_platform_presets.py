@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import SteadyStateProblem, solve, validate_allocation
+from repro import Solver, SteadyStateProblem, validate_allocation
 from repro.platform.presets import (
     PRESETS,
     das2_like,
@@ -51,8 +51,8 @@ class TestPresetsAreSolvable:
     def test_full_pipeline(self, name):
         platform = get_preset(name)
         problem = SteadyStateProblem(platform, objective="maxmin")
-        lp = solve(problem, "lp")
-        lprg = solve(problem, "lprg")
+        lp = Solver.for_method("lp").solve(problem)
+        lprg = Solver.for_method("lprg").solve(problem)
         validate_allocation(platform, lprg.allocation)
         assert 0 < lprg.value <= lp.value + 1e-6
 
@@ -63,8 +63,9 @@ class TestPresetsAreSolvable:
         payoffs = [1.0, 1.0, 1.0, 4.0]  # Sydney's work is precious
         problem = SteadyStateProblem(platform, payoffs, objective="maxmin")
         values = {
-            m: solve(problem, m, rng=0).value for m in ("greedy", "lpr", "lprg")
+            m: Solver.for_method(m).solve(problem, rng=0).value
+            for m in ("greedy", "lpr", "lprg")
         }
-        lp = solve(problem, "lp").value
+        lp = Solver.for_method("lp").solve(problem).value
         assert values["lprg"] <= lp + 1e-6
         assert values["lprg"] >= values["lpr"] - 1e-9

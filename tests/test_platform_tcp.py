@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import SteadyStateProblem, line_platform, solve
+from repro import Solver, SteadyStateProblem, line_platform
 from repro.platform.tcp import TcpModel, apply_tcp_model
 from repro.util.errors import PlatformError
 
@@ -62,17 +62,17 @@ class TestApplyTcpModel:
             TcpModel(window=12.0, default_latency=1.0),
         )
         problem = SteadyStateProblem(platform, objective="maxmin")
-        result = solve(problem, "lprg")
+        result = Solver.for_method("lprg").solve(problem)
         assert problem.check(result.allocation).ok
         assert result.value > 0
 
     def test_latency_lowers_the_bound(self):
         base = line_platform(4, bw=10.0, g=30.0, max_connect=2)
         problem = SteadyStateProblem(base, [1, 0, 0, 1], objective="maxmin")
-        lp_base = solve(problem, "lp").value
+        lp_base = Solver.for_method("lp").solve(problem).value
         refined = apply_tcp_model(base, TcpModel(window=6.0, default_latency=1.0))
-        lp_refined = solve(
-            SteadyStateProblem(refined, [1, 0, 0, 1], objective="maxmin"), "lp"
+        lp_refined = Solver.for_method("lp").solve(
+            SteadyStateProblem(refined, [1, 0, 0, 1], objective="maxmin")
         ).value
         assert lp_refined <= lp_base + 1e-9
 
@@ -84,6 +84,6 @@ class TestApplyTcpModel:
         refined = apply_tcp_model(base, TcpModel(window=20.0, default_latency=1.0))
         for platform in (base, refined):
             problem = SteadyStateProblem(platform, objective="maxmin")
-            lp = solve(problem, "lp").value
-            lprg = solve(problem, "lprg").value
+            lp = Solver.for_method("lp").solve(problem).value
+            lprg = Solver.for_method("lprg").solve(problem).value
             assert lprg <= lp + 1e-6

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import solve
+from repro import Solver
 from repro.schedule import build_periodic_schedule, quantize_allocation
 from repro.simulation import FlowSimulator
 from repro.simulation.metrics import throughput_ratios
@@ -28,28 +28,28 @@ class TestHeuristicValidity:
     @given(problems(max_clusters=5))
     @settings(max_examples=20)
     def test_greedy_always_valid(self, problem):
-        result = solve(problem, "greedy")
+        result = Solver.for_method("greedy").solve(problem)
         report = problem.check(result.allocation)
         assert report.ok, report.violations
 
     @given(problems(max_clusters=5))
     @settings(max_examples=12)
     def test_lpr_always_valid(self, problem):
-        result = solve(problem, "lpr")
+        result = Solver.for_method("lpr").solve(problem)
         report = problem.check(result.allocation)
         assert report.ok, report.violations
 
     @given(problems(max_clusters=5))
     @settings(max_examples=12)
     def test_lprg_always_valid(self, problem):
-        result = solve(problem, "lprg")
+        result = Solver.for_method("lprg").solve(problem)
         report = problem.check(result.allocation)
         assert report.ok, report.violations
 
     @given(problems(max_clusters=4))
     @settings(max_examples=8)
     def test_lprr_always_valid(self, problem):
-        result = solve(problem, "lprr", rng=0)
+        result = Solver.for_method("lprr").solve(problem, rng=0)
         report = problem.check(result.allocation)
         assert report.ok, report.violations
 
@@ -58,19 +58,19 @@ class TestDominanceChain:
     @given(problems(max_clusters=5))
     @settings(max_examples=10)
     def test_lp_geq_milp_geq_heuristics(self, problem):
-        lp = solve(problem, "lp").value
-        milp = solve(problem, "milp").value
+        lp = Solver.for_method("lp").solve(problem).value
+        milp = Solver.for_method("milp").solve(problem).value
         assert lp >= milp - 1e-5
         for method in ("greedy", "lpr", "lprg"):
-            value = solve(problem, method).value
+            value = Solver.for_method(method).solve(problem).value
             assert milp >= value - 1e-5, method
             assert lp >= value - 1e-5, method
 
     @given(problems(max_clusters=5))
     @settings(max_examples=12)
     def test_lprg_dominates_lpr(self, problem):
-        lpr = solve(problem, "lpr").value
-        lprg = solve(problem, "lprg").value
+        lpr = Solver.for_method("lpr").solve(problem).value
+        lprg = Solver.for_method("lprg").solve(problem).value
         assert lprg >= lpr - 1e-9
 
     @given(problems(max_clusters=5))
@@ -78,7 +78,7 @@ class TestDominanceChain:
     def test_objective_value_consistency(self, problem):
         """A result's value always equals re-scoring its allocation."""
         for method in ("greedy", "lprg"):
-            result = solve(problem, method)
+            result = Solver.for_method(method).solve(problem)
             assert result.value == pytest.approx(
                 problem.objective_value(result.allocation), abs=1e-9
             )
@@ -88,7 +88,7 @@ class TestSchedulePipeline:
     @given(problems(max_clusters=4, objective="maxmin"))
     @settings(max_examples=8)
     def test_quantization_preserves_feasibility(self, problem):
-        alloc = solve(problem, "greedy").allocation
+        alloc = Solver.for_method("greedy").solve(problem).allocation
         q = quantize_allocation(alloc, denominator=128)
         report = problem.check(q.alloc)
         assert report.ok, report.violations
@@ -97,7 +97,7 @@ class TestSchedulePipeline:
     @given(problems(max_clusters=4, objective="maxmin"))
     @settings(max_examples=6)
     def test_simulator_realises_schedule(self, problem):
-        alloc = solve(problem, "lprg").allocation
+        alloc = Solver.for_method("lprg").solve(problem).allocation
         schedule = build_periodic_schedule(problem.platform, alloc, denominator=64)
         # Reserved rates (the paper's implicit discipline): deadline-exact.
         reserved = FlowSimulator(problem.platform, rate_policy="reserved").run(

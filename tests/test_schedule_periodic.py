@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import SteadyStateProblem, line_platform, solve
+from repro import Solver, SteadyStateProblem, line_platform
 from repro.schedule import build_periodic_schedule, unrolled_timeline
 from repro.schedule.timeline import total_produced
 from repro.util.errors import ScheduleError
@@ -12,7 +12,7 @@ from repro.util.errors import ScheduleError
 @pytest.fixture
 def schedule(problem_factory):
     problem = problem_factory(seed=0, n_clusters=5)
-    result = solve(problem, "lprg")
+    result = Solver.for_method("lprg").solve(problem)
     return build_periodic_schedule(problem.platform, result.allocation, denominator=500)
 
 

@@ -329,6 +329,23 @@ SAMPLED_BODY = {
         ("/sweep", {**SAMPLED_BODY, "settings_seed": -1}, "settings_seed"),
         ("/sweep", {**SAMPLED_BODY, "k_values": [4, "five"]}, "k_values"),
         ("/sweep", {**SWEEP_BODY, "seed": "x"}, "seed"),
+        # a JSON "false" is truthy and "2" is no count: neither may
+        # switch a flag on or reach a comparison that names no field
+        ("/solve", {"scenario": "das2", "config": {
+            "method": "lprr", "warm_start": "false"}}, "warm_start"),
+        ("/solve", {"scenario": "das2", "config": {"resume": "false"}}, "resume"),
+        ("/solve", {"scenario": "das2", "config": {"stream": "false"}}, "stream"),
+        ("/solve", {"scenario": "das2", "config": {"jobs": "2"}}, "jobs"),
+        ("/solve", {"scenario": "das2", "config": {"chunk_size": "2"}},
+         "chunk_size"),
+        ("/sweep", {**SWEEP_BODY, "config": {"shards": "2"}}, "shards"),
+        ("/solve", {"scenario": "das2", "config": {
+            "retry": {"quarantine": "false"}}}, "quarantine"),
+        ("/solve", {"scenario": "das2", "async": "false"}, "async"),
+        ("/solve", {"scenario": "das2", "coalesce": "false"}, "coalesce"),
+        ("/sweep", {**SWEEP_BODY, "hold": "false"}, "hold"),
+        ("/sweep", {**SWEEP_BODY, "scenario": {
+            "apply_speed_heterogeneity": "false"}}, "apply_speed_heterogeneity"),
     ],
     ids=[
         "solve-seed", "solve-scenario_seed", "setting-connectivity",
@@ -336,6 +353,10 @@ SAMPLED_BODY = {
         "scenario-unknown-key", "n_settings", "settings_seed",
         "settings_seed-negative",
         "k_values-entry", "sweep-seed",
+        "config-warm_start", "config-resume", "config-stream", "config-jobs",
+        "config-chunk_size", "config-shards", "config-retry-quarantine",
+        "solve-async", "solve-coalesce", "sweep-hold",
+        "scenario-apply_speed_heterogeneity",
     ],
 )
 def test_malformed_input_is_a_client_error_naming_its_field(

@@ -1,11 +1,11 @@
 """Request-coalescing correctness: batching must be invisible.
 
 The coalescer's whole contract is that N concurrent solve requests
-answered through one ``solve_many(problems, seeds=...)`` batch are
+answered through one ``Solver.solve_many(problems, seeds=...)`` batch are
 **bitwise-identical** to answering each alone. The Hypothesis property
 drives random request mixes (seeds, problems, arrival interleavings,
 batch sizes) through a shared coalescer and compares every response
-against its serial ``solve(problem, rng=seed)`` reference.
+against its serial ``Solver.solve(problem, rng=seed)`` reference.
 """
 
 from __future__ import annotations

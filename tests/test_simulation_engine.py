@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import SteadyStateProblem, line_platform, solve, star_platform
+from repro import Solver, SteadyStateProblem, line_platform, star_platform
 from repro.schedule import build_periodic_schedule
 from repro.simulation import FlowSimulator
 from repro.simulation.metrics import jain_index, summarize, throughput_ratios
@@ -12,7 +12,7 @@ from repro.util.errors import SimulationError
 
 def _run(problem, method="lprg", n_periods=8, denominator=200, rng=0,
          rate_policy="maxmin"):
-    result = solve(problem, method, rng=rng)
+    result = Solver.for_method(method).solve(problem, rng=rng)
     schedule = build_periodic_schedule(
         problem.platform, result.allocation, denominator=denominator
     )
@@ -61,7 +61,7 @@ class TestRatePolicies:
     def test_reserved_policy_meets_all_deadlines(self, problem_factory):
         for seed in range(3):
             problem = problem_factory(seed=seed, n_clusters=5)
-            result = solve(problem, "lprg")
+            result = Solver.for_method("lprg").solve(problem)
             schedule = build_periodic_schedule(
                 problem.platform, result.allocation, denominator=200
             )
@@ -73,7 +73,7 @@ class TestRatePolicies:
 
     def test_maxmin_policy_converges_even_if_late(self, problem_factory):
         problem = problem_factory(seed=2, n_clusters=5)
-        result = solve(problem, "lprg")
+        result = Solver.for_method("lprg").solve(problem)
         schedule = build_periodic_schedule(
             problem.platform, result.allocation, denominator=200
         )
@@ -92,14 +92,14 @@ class TestEngineEdgeCases:
     def test_empty_schedule(self):
         # Zero-payoff problem: nothing is allocated, nothing simulated.
         problem = SteadyStateProblem(line_platform(2), [0.0, 0.0])
-        result = solve(problem, "greedy")
+        result = Solver.for_method("greedy").solve(problem)
         schedule = build_periodic_schedule(problem.platform, result.allocation)
         out = FlowSimulator(problem.platform).run(schedule, n_periods=3)
         assert out.completed.sum() == 0.0
 
     def test_event_budget(self, problem_factory):
         problem = problem_factory(seed=0, n_clusters=4)
-        result = solve(problem, "lprg")
+        result = Solver.for_method("lprg").solve(problem)
         schedule = build_periodic_schedule(problem.platform, result.allocation)
         sim = FlowSimulator(problem.platform, max_events=2)
         with pytest.raises(SimulationError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import solve
+from repro import Solver
 from repro.schedule import build_periodic_schedule
 from repro.simulation import FlowSimulator, TraceRecorder
 
@@ -11,7 +11,7 @@ from repro.simulation import FlowSimulator, TraceRecorder
 @pytest.fixture
 def traced_run(problem_factory):
     problem = problem_factory(seed=1, n_clusters=5)
-    result = solve(problem, "lprg")
+    result = Solver.for_method("lprg").solve(problem)
     schedule = build_periodic_schedule(
         problem.platform, result.allocation, denominator=200
     )

@@ -325,7 +325,7 @@ def settings_pair():
 class TestSweepAccumulator:
     def test_matches_classic_aggregates_to_tolerance(self, settings_pair):
         """Welford tables vs the np.mean reference on real sweep rows."""
-        from repro.experiments import run_sweep
+        from repro import Solver
         from repro.experiments.aggregate import (
             headline_ratios,
             lpr_failure_stats,
@@ -334,7 +334,7 @@ class TestSweepAccumulator:
         )
 
         methods, objectives = ("greedy", "lpr", "lprg"), ("maxmin", "sum")
-        rows = run_sweep(
+        rows = Solver().sweep(
             settings_pair, methods=methods, objectives=objectives,
             n_platforms=2, rng=3,
         )

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
-from repro.experiments import run_sweep, sample_settings
+from repro.api import Solver, SolverConfig
+from repro.experiments import sample_settings
 from repro.experiments.aggregate import aggregate_rows
 from repro.experiments.persistence import (
     load_rows_csv,
@@ -411,14 +412,15 @@ class TestSnapshotSidecar:
             methods=("greedy",), objectives=("sum",), n_platforms=2, rng=8
         )
         path = tmp_path / "sweep.ckpt"
-        full = run_sweep(settings, stream=True, checkpoint=path, **kwargs)
+        streamed = dict(stream=True, checkpoint=str(path))
+        full = Solver(SolverConfig(**streamed)).sweep(settings, **kwargs)
         sidecar = path.with_name(path.name + ".state")
         record = json.loads(sidecar.read_text())
         record["state"]["aggregate"] = {"version": 1, "mean": 0.0}
         sidecar.write_text(json.dumps(record))
         with pytest.warns(CheckpointWarning, match="incompatible"):
-            resumed = run_sweep(
-                settings, stream=True, checkpoint=path, resume=True, **kwargs
+            resumed = Solver(SolverConfig(**streamed, resume=True)).sweep(
+                settings, **kwargs
             )
         # record replay reproduces everything, runtimes included
         assert dumps(resumed.tables()) == dumps(full.tables())
@@ -465,7 +467,7 @@ class TestRealSweepEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self, sweep_def):
-        rows = run_sweep(sweep_def["settings"], **sweep_def["kwargs"])
+        rows = Solver().sweep(sweep_def["settings"], **sweep_def["kwargs"])
         agg = aggregate_rows(
             rows,
             methods=sweep_def["kwargs"]["methods"],
@@ -480,10 +482,10 @@ class TestRealSweepEquivalence:
         self, sweep_def, reference, jobs, chunk_size
     ):
         _, ref_agg = reference
-        streamed = run_sweep(
-            sweep_def["settings"], stream=True, jobs=jobs,
-            chunk_size=chunk_size, **sweep_def["kwargs"],
+        solver = Solver(
+            SolverConfig(stream=True, jobs=jobs, chunk_size=chunk_size)
         )
+        streamed = solver.sweep(sweep_def["settings"], **sweep_def["kwargs"])
         assert dumps(tables_sans_runtime(streamed)) == dumps(
             tables_sans_runtime(ref_agg)
         )
@@ -493,17 +495,16 @@ class TestRealSweepEquivalence:
     ):
         _, ref_agg = reference
         path = tmp_path / "sweep.ckpt"
-        full = run_sweep(
-            sweep_def["settings"], stream=True, checkpoint=path,
-            **sweep_def["kwargs"],
+        streamed = dict(stream=True, checkpoint=str(path))
+        full = Solver(SolverConfig(**streamed)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         # interrupt: keep the header and the first completed task only
         lines = path.read_text().splitlines()
         kept = [l for l in lines if '"kind": "state"' not in l][:2]
         path.write_text("\n".join(kept) + "\n")
-        resumed = run_sweep(
-            sweep_def["settings"], stream=True, checkpoint=path,
-            resume=True, **sweep_def["kwargs"],
+        resumed = Solver(SolverConfig(**streamed, resume=True)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         assert dumps(tables_sans_runtime(resumed)) == dumps(
             tables_sans_runtime(full)
@@ -516,9 +517,9 @@ class TestRealSweepEquivalence:
         self, sweep_def, tmp_path, monkeypatch
     ):
         path = tmp_path / "sweep.ckpt"
-        full = run_sweep(
-            sweep_def["settings"], stream=True, checkpoint=path,
-            **sweep_def["kwargs"],
+        streamed = dict(stream=True, checkpoint=str(path))
+        full = Solver(SolverConfig(**streamed)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
 
         def forbidden(task):  # pragma: no cover - must not be reached
@@ -526,9 +527,8 @@ class TestRealSweepEquivalence:
 
         monkeypatch.setattr("repro.parallel.sweep.run_sweep_task", forbidden)
         monkeypatch.setattr("repro.parallel.run_sweep_task", forbidden)
-        resumed = run_sweep(
-            sweep_def["settings"], stream=True, checkpoint=path,
-            resume=True, **sweep_def["kwargs"],
+        resumed = Solver(SolverConfig(**streamed, resume=True)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         # snapshot restore preserves even the runtime table bitwise
         assert dumps(resumed.tables()) == dumps(full.tables())
@@ -538,18 +538,16 @@ class TestRealSweepEquivalence:
     ):
         rows, _ = reference
         sink = tmp_path / "rows.jsonl"
-        run_sweep(
-            sweep_def["settings"], stream=True, row_sink=sink,
-            **sweep_def["kwargs"],
+        Solver(SolverConfig(stream=True, row_sink=str(sink))).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         assert_rows_identical(load_rows_jsonl(sink), rows)
 
     def test_csv_row_sink_holds_the_rows(self, sweep_def, reference, tmp_path):
         rows, _ = reference
         sink = tmp_path / "rows.csv"
-        run_sweep(
-            sweep_def["settings"], stream=True, row_sink=sink,
-            **sweep_def["kwargs"],
+        Solver(SolverConfig(stream=True, row_sink=str(sink))).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         assert_rows_identical(load_rows_csv(sink), rows)
 
@@ -567,17 +565,16 @@ class TestRealSweepEquivalence:
         def sink_path(name):
             return None if name is None else str(tmp_path / name)
 
-        path = tmp_path / "sweep.ckpt"
-        run_sweep(
-            sweep_def["settings"], stream=True, checkpoint=path,
-            row_sink=sink_path(first_sink), **sweep_def["kwargs"],
+        streamed = dict(stream=True, checkpoint=str(tmp_path / "sweep.ckpt"))
+        Solver(SolverConfig(**streamed, row_sink=sink_path(first_sink))).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         with pytest.raises(SolverError, match="row_sink"):
-            run_sweep(
-                sweep_def["settings"], stream=True, checkpoint=path,
-                resume=True, row_sink=sink_path(second_sink),
-                **sweep_def["kwargs"],
-            )
+            Solver(
+                SolverConfig(
+                    **streamed, resume=True, row_sink=sink_path(second_sink)
+                )
+            ).sweep(sweep_def["settings"], **sweep_def["kwargs"])
 
     def test_sink_restored_exactly_after_crash_resume(
         self, sweep_def, reference, tmp_path
@@ -586,39 +583,36 @@ class TestRealSweepEquivalence:
         rows, _ = reference
         path = tmp_path / "sweep.ckpt"
         sink = tmp_path / "rows.jsonl"
-        run_sweep(
-            sweep_def["settings"], stream=True, checkpoint=path,
-            row_sink=sink, **sweep_def["kwargs"],
+        streamed = dict(stream=True, checkpoint=str(path), row_sink=str(sink))
+        Solver(SolverConfig(**streamed)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         lines = path.read_text().splitlines()
         kept = [l for l in lines if '"kind": "state"' not in l][:3]
         path.write_text("\n".join(kept) + "\n")
-        run_sweep(
-            sweep_def["settings"], stream=True, checkpoint=path,
-            resume=True, row_sink=sink, **sweep_def["kwargs"],
+        Solver(SolverConfig(**streamed, resume=True)).sweep(
+            sweep_def["settings"], **sweep_def["kwargs"]
         )
         assert_rows_identical(load_rows_jsonl(sink), rows)
 
 
 class TestStreamEdgeCases:
     def test_empty_sweep_streams_to_empty_aggregate(self):
-        agg = run_sweep([], stream=True, methods=("greedy",),
-                        objectives=("sum",), n_platforms=1, rng=0)
+        agg = Solver(SolverConfig(stream=True)).sweep(
+            [], methods=("greedy",), objectives=("sum",), n_platforms=1, rng=0
+        )
         assert agg.n_rows == 0 and agg.n_tasks == 0
         assert agg.tables()["mean_ratio_by_k"] == {}
 
     def test_row_sink_without_stream_is_refused(self):
-        from repro.api import SolverConfig
-
         with pytest.raises(SolverError, match="stream"):
             SolverConfig(row_sink="rows.jsonl")
 
     def test_unwritable_row_sink_fails_before_any_work(self, tmp_path):
         missing = tmp_path / "no-such-dir" / "rows.jsonl"
         with pytest.raises(SolverError, match="does not exist"):
-            run_sweep(
+            Solver(SolverConfig(stream=True, row_sink=str(missing))).sweep(
                 sample_settings(1, rng=0, k_values=[4]),
-                stream=True, row_sink=missing,
                 methods=("greedy",), objectives=("sum",),
                 n_platforms=1, rng=0,
             )

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import Solver
 from repro.distrib import (
     QUARANTINE_EXIT,
     InlineShardExecutor,
@@ -43,7 +44,7 @@ from repro.distrib import (
     write_manifests,
 )
 from repro.distrib.executor import ShardExitError
-from repro.experiments import run_sweep, sample_settings
+from repro.experiments import sample_settings
 from repro.experiments.config import DEFAULT_SCENARIO
 from repro.parallel import build_sweep_tasks
 from repro.parallel.engine import (
@@ -517,7 +518,7 @@ def real_campaign():
 
 @pytest.fixture(scope="module")
 def real_reference(real_campaign):
-    rows = run_sweep(
+    rows = Solver().sweep(
         real_campaign["settings"],
         scenario=real_campaign["scenario"],
         methods=real_campaign["methods"],
