@@ -5,7 +5,7 @@ In the revised engine (``repro/lp/revised.py`` over
 factorization (eta updates + periodic refactorization) and a carried
 bounded-variable basis, so the session path is supposed to beat a cold
 HiGHS solve per step at *every* instance size. This benchmark is the
-regression gate for that core, on the two chain shapes that matter:
+regression gate for that core, on LPRR's pin chains:
 
 * **LPRR pin chains at large K** (~K(K-1) solves, one ``lb == ub`` pin
   per solve), up to the paper's Figure-7 sizes (K=20 in the smoke run,
@@ -23,10 +23,6 @@ regression gate for that core, on the two chain shapes that matter:
   solves per LP solve are recorded. Its cold-HiGHS-per-solve reference
   (about a minute) and seed 1 run only under ``REPRO_FULL=1``, where
   the warm chain must beat it.
-* **Branch-and-bound re-solve chains** (one beta bound flipped per
-  node, dual-simplex repair of the parent basis): warm-session B&B must
-  agree with the cold-HiGHS-per-node reference on the optimum and beat
-  it in wall-clock.
 
 Results land in ``BENCH_simplex_core.json`` (repo root); the
 ``scripts/verify.sh`` gate requires this file to be refreshed by every
@@ -151,62 +147,30 @@ def _paper_leg(k, seeds, with_reference: bool) -> dict:
     return {k: row}
 
 
-def _bnb_leg(k_values, seeds) -> dict:
-    """B&B re-solve chains: warm session nodes vs cold HiGHS nodes."""
-    bnb = get_heuristic("bnb")
-    per_k = {}
-    for k in k_values:
-        row = {
-            "time_warm": 0.0,
-            "time_cold": 0.0,
-            "nodes_warm": 0,
-            "nodes_cold": 0,
-            "value_matches": 0,
-            "runs": 0,
-        }
-        for seed in seeds:
-            problem = _reference_problem(seed, k)
-            warm = bnb.run(problem, warm_start=True)
-            cold = bnb.run(problem, warm_start=False)
-            row["runs"] += 1
-            row["value_matches"] += int(
-                np.isclose(warm.value, cold.value, rtol=1e-5, atol=1e-5)
-            )
-            row["time_warm"] += warm.runtime
-            row["time_cold"] += cold.runtime
-            row["nodes_warm"] += warm.n_lp_solves
-            row["nodes_cold"] += cold.n_lp_solves
-        per_k[k] = row
-    return per_k
-
-
-def _sweep(lprr_k, bnb_k, seeds, paper_k, paper_seeds) -> dict:
+def _sweep(lprr_k, seeds, paper_k, paper_seeds) -> dict:
     return {
         "lprr_k": list(lprr_k),
-        "bnb_k": list(bnb_k),
         "seeds": list(seeds),
         "paper_seeds": list(paper_seeds),
         "lprr": _lprr_leg(lprr_k, seeds),
         "lprr_paper": _paper_leg(paper_k, paper_seeds, full_scale()),
-        "bnb": _bnb_leg(bnb_k, seeds),
     }
 
 
 def test_simplex_core_regression(benchmark):
     lprr_k = (8, 12, 16, 20, 30) if full_scale() else (8, 12, 20)
-    bnb_k = (4, 5)
     seeds = range(2)
     paper_k = 40
     paper_seeds = range(2) if full_scale() else range(1)
     data = benchmark.pedantic(
-        _sweep, args=(lprr_k, bnb_k, seeds, paper_k, paper_seeds),
+        _sweep, args=(lprr_k, seeds, paper_k, paper_seeds),
         rounds=1, iterations=1,
     )
 
     banner(
         "Revised-simplex core: LU-factorized warm chains vs cold HiGHS",
-        "the session path must beat cold HiGHS per re-solve at every size, "
-        "on LPRR pin chains and B&B bound-flip chains.",
+        "the session path must beat cold HiGHS per re-solve at every size "
+        "on LPRR pin chains.",
     )
     print(f"{'K':>3} {'t session (s)':>14} {'t scipy (s)':>12} "
           f"{'speedup':>8} {'warm/solves':>12} {'cold':>5} {'iters':>7} "
@@ -229,11 +193,6 @@ def test_simplex_core_regression(benchmark):
               f"{row['factorizations_per_solve']:>9.2f} "
               f"{row['n_fallback']:>10}  "
               f"({row['lu_solves_per_solve']:.2f} LU solves/solve)")
-    print(f"{'K':>3} {'t bnb warm (s)':>15} {'t bnb cold (s)':>15} "
-          f"{'nodes warm':>11} {'nodes cold':>11}")
-    for k, row in data["bnb"].items():
-        print(f"{k:>3} {row['time_warm']:>15.3f} {row['time_cold']:>15.3f} "
-              f"{row['nodes_warm']:>11} {row['nodes_cold']:>11}")
 
     payload = {
         "bench": "simplex_core",
@@ -272,8 +231,3 @@ def test_simplex_core_regression(benchmark):
             assert row["time_session"] < row["time_scipy"], (
                 f"session slower than cold HiGHS at K={k}"
             )
-    for k, row in data["bnb"].items():
-        assert row["value_matches"] == row["runs"]
-        assert row["time_warm"] < row["time_cold"], (
-            f"warm B&B slower than cold-HiGHS B&B at K={k}"
-        )

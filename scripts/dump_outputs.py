@@ -11,8 +11,8 @@ is checked by dumping on both checkouts and comparing::
 The dump holds, keyed by a readable path:
 
 * every registered method on ``das2`` and ``table1-small``, three
-  scenario seeds each, and the non-exact methods (all but ``bnb`` and
-  ``milp``) on ``table1-medium``;
+  scenario seeds each, and the non-exact methods (all but ``milp``) on
+  ``table1-medium``;
 * a ``reuse/`` twin of every ``das2`` and ``table1-small`` solve: the
   same ``Solver``, right after the ``solve/`` record, solves an
   equal-but-distinct copy of the problem (its platform round-tripped
@@ -21,8 +21,8 @@ The dump holds, keyed by a readable path:
   first solve left behind (LP templates, memoized HiGHS optima) is
   read. ``--out`` exits 1 when a twin differs from its ``solve/``
   record;
-* LPRR with ``warm_start=False`` and with ``lp_backend="scipy"``,
-  iterated LPRG on scipy and branch-and-bound cold;
+* LPRR with ``warm_start=False`` and with ``lp_backend="scipy"``, and
+  iterated LPRG on scipy;
 * the tables of a streamed K=4/6 sweep, without ``runtime_mean_by_k``
   (wall clock);
 * a ``figures/`` leg: every series and note of ``figure5`` (K=4, 6) and
@@ -67,7 +67,7 @@ import numpy as np
 SEEDS = (0, 1, 2)
 #: scenarios whose solves get a ``reuse/`` twin
 REUSE_SCENARIOS = ("das2", "table1-small")
-EXACT_METHODS = ("bnb", "milp")
+EXACT_METHODS = ("milp",)
 ONLINE_FAMILIES = ("drift-heavy", "failure-storm", "churn")
 #: Figure 7's grid: Table 1 with connectivity 0.6-0.8, two platforms per K
 FIG7_K = (8, 12, 8, 12)
@@ -78,7 +78,6 @@ VARIANTS = (
     ("lprr", {"warm_start": False}),
     ("lprr", {"lp_backend": "scipy"}),
     ("lprg-it", {"lp_backend": "scipy"}),
-    ("bnb", {"warm_start": False}),
 )
 #: the figure generators' scale: one setting per K, one platform
 FIGURE_SCALE = dict(settings_per_k=1, platforms_per_setting=1, rng=0)

@@ -19,7 +19,6 @@ package's one way to solve, batch and sweep.
 """
 
 from repro.api.config import (
-    BranchAndBoundOptions,
     GreedyOptions,
     IteratedLPRGOptions,
     LPRROptions,
@@ -52,7 +51,6 @@ __all__ = [
     "LPRROptions",
     "IteratedLPRGOptions",
     "MILPOptions",
-    "BranchAndBoundOptions",
     "options_class_for",
     "config_fingerprint",
     "TelemetryOptions",

@@ -102,13 +102,6 @@ class MILPOptions(MethodOptions):
     time_limit: "float | None" = None
 
 
-@dataclass(frozen=True)
-class BranchAndBoundOptions(MethodOptions):
-    """Options of the bundled branch-and-bound exact solver."""
-
-    max_nodes: int = 10_000
-
-
 #: canonical method name -> its typed option class
 OPTION_CLASSES: dict[str, type] = {
     "greedy": GreedyOptions,
@@ -116,7 +109,6 @@ OPTION_CLASSES: dict[str, type] = {
     "lprr-eq": LPRROptions,
     "lprg-it": IteratedLPRGOptions,
     "milp": MILPOptions,
-    "bnb": BranchAndBoundOptions,
 }
 
 
@@ -148,8 +140,8 @@ class SolverConfig:
         them. ``lp_backend`` is ``"session"`` (default: warm-started
         revised-simplex :class:`~repro.lp.session.LPSession`) or
         ``"scipy"`` (a fresh HiGHS solve per LP) and applies to LPRR and
-        iterated LPRG; ``warm_start`` applies to LPRR, branch-and-bound
-        and :meth:`~repro.api.Solver.run_online`.
+        iterated LPRG; ``warm_start`` applies to LPRR and
+        :meth:`~repro.api.Solver.run_online`.
     jobs, chunk_size:
         The PR-1 process-pool knobs for ``solve_many``/``sweep``
         (results are bitwise-identical for any value).
@@ -252,12 +244,6 @@ class SolverConfig:
                 self, "objective", get_objective(self.objective).name
             )
         check_lp_backend(self.lp_backend)
-        if self.seed is not None:
-            if not isinstance(self.seed, (int, np.integer)):
-                raise SolverError(
-                    f"seed must be an int or None, got {self.seed!r}"
-                )
-            object.__setattr__(self, "seed", int(self.seed))
         # Types before ranges: a JSON "false" is truthy, so a flag read
         # for truth would switch on, and a str count would fail below
         # with a comparison error that names no field.
@@ -265,9 +251,9 @@ class SolverConfig:
             value = getattr(self, name)
             if not isinstance(value, bool):
                 raise SolverError(f"{name!r} must be a bool, got {value!r}")
-        for name in ("jobs", "chunk_size", "shards"):
+        for name in ("seed", "jobs", "chunk_size", "shards"):
             value = getattr(self, name)
-            if value is None and name == "chunk_size":
+            if value is None and name in ("seed", "chunk_size"):
                 continue
             if isinstance(value, bool) or not isinstance(
                 value, (int, np.integer)

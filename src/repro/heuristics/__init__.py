@@ -10,7 +10,6 @@ name        algorithm
 ``lprg-it`` iterated LPRG — residual re-solves (extension, E15)
 ``lp``      rational relaxation: *upper bound*, not a schedule
 ``milp``    exact mixed-integer optimum (HiGHS)
-``bnb``     exact optimum via our own branch-and-bound
 ==========  =======================================================
 """
 
@@ -26,7 +25,7 @@ from repro.heuristics.lpr import LPRHeuristic, round_down
 from repro.heuristics.lprg import LPRGHeuristic
 from repro.heuristics.lprr import LPRRHeuristic
 from repro.heuristics.lprg_iterated import IteratedLPRGHeuristic, residual_platform
-from repro.heuristics.bounds import LPBound, MILPExact, BranchAndBoundExact
+from repro.heuristics.bounds import LPBound, MILPExact
 
 __all__ = [
     "Heuristic",
@@ -44,5 +43,4 @@ __all__ = [
     "residual_platform",
     "LPBound",
     "MILPExact",
-    "BranchAndBoundExact",
 ]

@@ -1,9 +1,10 @@
 """Heuristic interface, result record, and registry.
 
 Every algorithm — the four heuristics of Section 5, the LP upper bound
-and the exact solvers — implements :class:`Heuristic` and registers
-itself by name, so the experiment harness can sweep over algorithms
-uniformly and :class:`repro.api.Solver` can dispatch by string.
+and the exact HiGHS MILP optimum — implements :class:`Heuristic` and
+registers itself by name, so the experiment harness can sweep over
+algorithms uniformly and :class:`repro.api.Solver` can dispatch by
+string.
 """
 
 from __future__ import annotations

@@ -12,9 +12,8 @@
   re-solve mode for carried bases, and canonical-vertex selection so
   warm and cold solves of the same program report the same optimal
   vertex;
-* :mod:`repro.lp.milp_backend` and :mod:`repro.lp.branch_and_bound`
-  solve the *mixed* program exactly (HiGHS MILP and our own LP-based
-  branch-and-bound), something the paper could not afford in 2004;
+* :mod:`repro.lp.milp_backend` solves the *mixed* program exactly
+  (HiGHS MILP), something the paper could not afford in 2004;
 * :mod:`repro.lp.session` is the warm-started re-solve layer for the
   K^2 heuristic hot paths: one :class:`~repro.lp.session.LPSession` per
   instance, in-place bound/RHS mutation, and optimal-basis (plus LU)
@@ -29,7 +28,6 @@ from repro.lp.milp_backend import solve_milp_scipy
 from repro.lp.session import Basis, LPSession, SessionStats
 from repro.lp.basis_lu import LUBasis, SingularBasisError
 from repro.lp.revised import RevisedResult, revised_solve
-from repro.lp.branch_and_bound import BranchAndBoundResult, solve_branch_and_bound
 
 __all__ = [
     "VariableIndex",
@@ -45,6 +43,4 @@ __all__ = [
     "SingularBasisError",
     "RevisedResult",
     "revised_solve",
-    "BranchAndBoundResult",
-    "solve_branch_and_bound",
 ]

@@ -81,7 +81,7 @@ class LPInstance:
         return label in self._row_map
 
     def with_bounds(self, lb: np.ndarray, ub: np.ndarray) -> "LPInstance":
-        """Copy sharing matrices but with different box bounds (B&B, LPRR)."""
+        """Copy sharing matrices but with different box bounds (LPRR on scipy)."""
         return LPInstance(
             obj=self.obj,
             A_ub=self.A_ub,

@@ -21,9 +21,9 @@ original data, with no extra rows for upper bounds:
 * **primal** iterations (Dantzig pricing, Bland's rule engaged after a
   degenerate stall) solve from a primal-feasible basis; **dual**
   iterations re-solve from a dual-feasible one — the warm-start case
-  after bound/RHS edits (branch-and-bound children, iterated-LPRG
-  tightening) where the carried optimal basis stays dual-feasible but
-  goes primal-infeasible, so no phase-1 restart is needed;
+  after bound/RHS edits (LPRR pins, online bound and RHS events) where
+  the carried optimal basis stays dual-feasible but goes
+  primal-infeasible, so no phase-1 restart is needed;
 * cold starts use the all-slack basis directly when it is feasible
   (true for every fresh program-(7) instance: ``b >= A @ lb``) and
   otherwise run a dual-simplex phase 1 with zero costs (every basis is
@@ -77,10 +77,9 @@ _DEGEN_LIMIT = 25
 _PIN_TOL = 1e-7
 #: carried-basis staleness cutoff: when more than this fraction of the
 #: basic variables sit outside their bounds after a warm load, the edits
-#: since the basis was taken amount to a wholesale program rewrite (the
-#: iterated-LPRG residual pattern) and a cold start beats the long dual
-#: repair; small violation counts (B&B bound flips, single-row RHS
-#: tightenings) still take the dual-repair path
+#: since the basis was taken amount to a wholesale program rewrite and a
+#: cold start beats the long dual repair; small violation counts (LPRR
+#: pins, online bound and RHS events) still take the dual-repair path
 _STALE_BASIS_FRACTION = 0.25
 
 #: vstat codes
@@ -342,8 +341,8 @@ def _eject_fixed_basics(p: _Program) -> str:
     """Drive fixed (``lb == ub``) variables out of a carried basis.
 
     A warm basis can contain a column whose bounds were pinned together
-    since it was taken (every beta LPRR fixes, every leaf bound in
-    branch-and-bound). Such a column must end up *nonbasic* — a fixed
+    since it was taken (every beta LPRR fixes, every variable an online
+    failure event pins). Such a column must end up *nonbasic* — a fixed
     nonbasic column is reported bit-exactly at its pinned value, while a
     basic one would come back through an FTRAN with roundoff, breaking
     the warm==cold bitwise contract (cold starts never let a fixed

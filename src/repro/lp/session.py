@@ -1,15 +1,16 @@
 """Warm-started LP re-solve sessions for the K^2 heuristic hot path.
 
 The paper's cost/quality spectrum (Figure 7) is dominated by LP-solve
-count: LPRR pays ~K(K-1) solves per instance, iterated LPRG one solve
-per round, branch-and-bound one per node — and consecutive LPs in all
-three differ only in box bounds and right-hand sides. An
-:class:`LPSession` owns one :class:`~repro.lp.builder.LPInstance` and
-exploits exactly that structure:
+count: LPRR pays ~K(K-1) solves per instance, the online re-scheduler
+one per event — and consecutive LPs in both differ only in box bounds
+and right-hand sides. An :class:`LPSession` owns one
+:class:`~repro.lp.builder.LPInstance` and exploits exactly that
+structure:
 
-* **in-place mutation** — ``LPSession.solve(lb=..., ub=..., b_ub=...)``
-  writes the new data into the owned instance (no ``with_bounds`` copy,
-  no ``build_lp`` re-assembly);
+* **in-place mutation** — callers edit the owned instance's ``lb``,
+  ``ub`` and ``b_ub`` arrays directly or through :meth:`fix_variable`,
+  :meth:`set_bounds` and :meth:`set_rhs` (no ``with_bounds`` copy, no
+  ``build_lp`` re-assembly), then call :meth:`solve`;
 * **warm start** — the optimal basis of the previous solve is carried
   across calls (as a :class:`Basis` token) and seeds the simplex, which
   skips phase 1 whenever the carried basis is still usable;
@@ -25,12 +26,12 @@ The engine is the bounded-variable revised simplex over an
 LU-factorized basis (:mod:`repro.lp.revised`): upper bounds are handled
 natively (no extra rows), each pivot costs one FTRAN/BTRAN pair against
 the factorization, and a carried basis that bound/RHS edits left
-dual-feasible but primal-infeasible (branch-and-bound children,
-iterated-LPRG tightening) is repaired by *dual* simplex steps — no
-phase-1 restart. It always solves the **full** program: fixed variables
-are frozen out of pricing rather than eliminated, so the carried basis
-(and its live LU factorization, kept across solves) maps one-to-one
-every time instead of going singular against a shrinking column set.
+dual-feasible but primal-infeasible (LPRR pins, online bound and RHS
+events) is repaired by *dual* simplex steps — no phase-1 restart. It
+always solves the **full** program: fixed variables are frozen out of
+pricing rather than eliminated, so the carried basis (and its live LU
+factorization, kept across solves) maps one-to-one every time instead
+of going singular against a shrinking column set.
 
 ``LPSession.solve(warm_basis=None)`` is the cold reference: that call starts
 from no basis (and no LU) through the same engine, so warm-vs-cold
@@ -178,7 +179,7 @@ class Basis:
 class LPSession:
     """Persistent re-solve layer over one :class:`LPInstance`.
 
-    The session *owns* the instance: ``solve`` mutates its ``lb``,
+    The session *owns* the instance: every edit mutates its ``lb``,
     ``ub`` and ``b_ub`` arrays in place. Callers that need the original
     bounds afterwards should pass a ``with_bounds`` copy.
 
@@ -282,8 +283,8 @@ class LPSession:
 
         The incremental-mutation primitive for online re-scheduling —
         a drift event touches one or two rows, so rewriting the whole
-        ``b_ub`` array (the ``self.solve(b_ub=...)`` path) both obscures the
-        edit and costs O(m) per event. ``values`` broadcasts.
+        ``b_ub`` array both obscures the edit and costs O(m) per event.
+        ``values`` broadcasts.
         """
         rows = np.atleast_1d(np.asarray(rows, dtype=int))
         self.instance.b_ub[rows] = values
@@ -304,40 +305,24 @@ class LPSession:
             inst.ub[cols] = ub
 
     # ------------------------------------------------------------------
-    def solve(
-        self,
-        lb: "np.ndarray | None" = None,
-        ub: "np.ndarray | None" = None,
-        b_ub: "np.ndarray | None" = None,
-        warm_basis=_AUTO,
-    ) -> LPSolution:
+    def solve(self, warm_basis=_AUTO) -> LPSolution:
         """Re-solve the owned instance after an in-place data update.
 
         Parameters
         ----------
-        lb, ub, b_ub:
-            Optional replacement arrays, copied into the instance in
-            place (omitted blocks keep their current values).
         warm_basis:
             Basis token to warm-start from; defaults to the previous
-            solve's basis. Pass an explicit token to re-solve from a
-            different parent (branch-and-bound), or ``None`` to solve
-            this call from scratch (the cold reference; the session's
-            next default call still carries this call's basis).
+            solve's basis. Pass an explicit token to start from another
+            basis (a :meth:`support_token`: LPRR's seed, the online
+            read fallback), or ``None`` to solve this call from scratch
+            (the cold reference; the session's next default call still
+            carries this call's basis).
 
         Raises
         ------
         InfeasibleError / UnboundedError
             Mirroring :func:`repro.lp.scipy_backend.solve_lp_scipy`.
         """
-        inst = self.instance
-        if lb is not None:
-            np.copyto(inst.lb, lb)
-        if ub is not None:
-            np.copyto(inst.ub, ub)
-        if b_ub is not None:
-            np.copyto(inst.b_ub, b_ub)
-
         self.stats.n_solves += 1
         basis = self._basis if warm_basis is _AUTO else warm_basis
         tracer = current_tracer()

@@ -52,6 +52,7 @@ environments carry into pool workers).
 
 from __future__ import annotations
 
+import numbers
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -108,10 +109,24 @@ class RetryPolicy:
     quarantine: bool = True
 
     def __post_init__(self):
+        # Types before ranges: a str would fail the comparisons below
+        # with an error that names no field, and a bool is no count.
         if not isinstance(self.quarantine, bool):
             raise ValueError(
                 f"'quarantine' must be a bool, got {self.quarantine!r}"
             )
+        if isinstance(self.max_attempts, bool) or not isinstance(
+            self.max_attempts, numbers.Integral
+        ):
+            raise ValueError(
+                f"'max_attempts' must be an int, got {self.max_attempts!r}"
+            )
+        for name in ("backoff", "backoff_factor", "max_backoff", "task_timeout"):
+            value = getattr(self, name)
+            if value is None and name == "task_timeout":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name!r} must be a number, got {value!r}")
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"

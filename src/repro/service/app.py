@@ -72,6 +72,8 @@ import numpy as np
 
 from repro.api.config import SolverConfig, config_fingerprint
 from repro.api.scenarios import scenario_registry
+from repro.core.objectives import get_objective
+from repro.heuristics.base import available_methods, get_heuristic
 from repro.obs.metrics import MetricsRegistry, render_prometheus
 from repro.obs.trace import Tracer, use_tracer
 from repro.platform.serialization import platform_fingerprint
@@ -82,6 +84,11 @@ from repro.service.jobstore import JobRecord, JobStore, open_job_store
 from repro.service.pool import SolverPool
 from repro.service.sse import TERMINAL_EVENTS, JobEventBroker
 from repro.util.errors import SolverError
+
+
+#: config fields naming a server-side path: the server writes no file
+#: a client names, so a request may not set them
+_PATH_FIELDS = ("checkpoint", "row_sink", "shard_dir")
 
 
 def _config_from(payload: dict, force_stream: bool = False) -> SolverConfig:
@@ -95,6 +102,12 @@ def _config_from(payload: dict, force_stream: bool = False) -> SolverConfig:
         data["method"] = payload["method"]
     if force_stream:
         data["stream"] = True
+    for name in _PATH_FIELDS:
+        if data.get(name) is not None:
+            raise ServiceError(
+                f"{name!r} is not available through the service: the "
+                "server writes no file a client names"
+            )
     shards = data.get("shards", 1)
     try:
         if isinstance(shards, int) and shards > 1:
@@ -107,19 +120,36 @@ def _config_from(payload: dict, force_stream: bool = False) -> SolverConfig:
         raise ServiceError(f"invalid config: {exc}") from None
 
 
-def _int_or_none(value, field: str) -> "int | None":
+def _int_or_none(value, field: str, minimum: int = 0) -> "int | None":
     """``value`` as an int, ``None`` kept (the field is absent). Every
-    integer field is a count, a seed or a K, so a value ``int()`` refuses
-    or a negative one is the client's error, HTTP 400 naming ``field``."""
+    integer field is a count, a seed or a K, so anything but a JSON
+    integer of at least ``minimum`` — a string, a fraction, a boolean —
+    is the client's error, HTTP 400 naming ``field``."""
     if value is None:
         return None
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or number < 0:
-        raise ServiceError(f"{field!r} must be a non-negative integer, got {value!r}")
-    return number
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ServiceError(
+            f"{field!r} must be an integer >= {minimum}, got {value!r}"
+        )
+    return value
+
+
+def _names_or_none(payload: dict, field: str, resolve) -> "list | None":
+    """The sweep's ``methods`` or ``objectives``, ``None`` kept (the
+    default applies). Each name must be one ``resolve`` knows, so a bad
+    one is HTTP 400 naming ``field`` before any job exists, not a job
+    that fails later."""
+    names = payload.get(field)
+    if names is None:
+        return None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ServiceError(f"{field!r} must be a list of names, got {names!r}")
+    for name in names:
+        try:
+            resolve(name)
+        except ValueError as exc:
+            raise ServiceError(f"invalid entry in {field!r}: {exc}") from None
+    return names
 
 
 def _flag(payload: dict, key: str, default: bool) -> bool:
@@ -354,7 +384,7 @@ class SolverService:
                         f"'k_values' must be a non-empty list of integers, "
                         f"got {k_values!r}"
                     )
-                k_values = [_int_or_none(k, "k_values") for k in k_values]
+                k_values = [_int_or_none(k, "k_values", minimum=1) for k in k_values]
             settings = sample_settings(
                 _int_or_none(payload["n_settings"], "n_settings"),
                 rng=np.random.default_rng(
@@ -374,9 +404,11 @@ class SolverService:
             "scenario": scenario,
             "pool_key": scenario_key,
             "config": config,
-            "methods": payload.get("methods"),
-            "objectives": payload.get("objectives"),
-            "n_platforms": payload.get("n_platforms"),
+            "methods": _names_or_none(payload, "methods", get_heuristic),
+            "objectives": _names_or_none(payload, "objectives", get_objective),
+            "n_platforms": _int_or_none(
+                payload.get("n_platforms"), "n_platforms", minimum=1
+            ),
             "seed": _int_or_none(payload.get("seed"), "seed"),
         }
         job_id = self.new_job_id("sweep")
@@ -609,8 +641,6 @@ class SolverService:
 
     def describe(self) -> dict:
         """The ``/scenarios`` + ``/methods`` discovery payload pieces."""
-        from repro.heuristics.base import available_methods
-
         registry = scenario_registry()
         return {
             "methods": list(available_methods()),

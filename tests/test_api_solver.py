@@ -57,7 +57,7 @@ class TestSolveEquivalence:
     def test_facade_matches_legacy_all_methods(
         self, problem_factory, method, objective
     ):
-        # K=4 keeps the exact solvers (milp/bnb) cheap enough to sweep.
+        # K=4 keeps the exact solver (milp) cheap enough to sweep.
         problem = problem_factory(seed=1, n_clusters=4, objective=objective)
         config = SolverConfig(method=method)
         raw = get_heuristic(method).run(
@@ -229,7 +229,7 @@ class TestOptionRejection:
 class TestSolverConfig:
     def test_alias_canonicalised(self):
         assert SolverConfig(method="G").method == "greedy"
-        assert SolverConfig.for_method("branch-and-bound").method == "bnb"
+        assert SolverConfig.for_method("exact").method == "milp"
 
     def test_unknown_method_is_value_error(self):
         with pytest.raises(ValueError):
@@ -288,6 +288,26 @@ class TestSolverConfig:
             SolverConfig.from_dict({"retry": {"quarantine": "false"}})
         assert RetryPolicy(quarantine=False).quarantine is False
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_attempts", "3"),
+            ("max_attempts", True),
+            ("max_attempts", 2.0),
+            ("backoff", True),
+            ("backoff", "0.1"),
+            ("backoff_factor", "2"),
+            ("max_backoff", None),
+            ("task_timeout", False),
+            ("task_timeout", "5"),
+        ],
+    )
+    def test_retry_fields_are_type_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            RetryPolicy(**{field: value})
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            SolverConfig.from_dict({"retry": {field: value}})
+
     def test_resume_requires_checkpoint(self):
         with pytest.raises(SolverError, match="checkpoint"):
             SolverConfig(resume=True)
@@ -295,6 +315,16 @@ class TestSolverConfig:
     def test_bad_seed_type(self):
         with pytest.raises(SolverError, match="seed"):
             SolverConfig(seed="42")
+
+    def test_bool_seed_rejected(self):
+        for build in (
+            lambda: SolverConfig(seed=True),
+            lambda: SolverConfig.from_dict({"seed": False}),
+            lambda: Solver.for_method("lprg", seed=True),
+        ):
+            with pytest.raises(SolverError, match="'seed'"):
+                build()
+        assert SolverConfig(seed=np.int64(3)).seed == 3
 
     def test_options_default_per_method(self):
         assert isinstance(SolverConfig(method="lprr").options, LPRROptions)
@@ -342,10 +372,6 @@ class TestSolverConfig:
         assert SolverConfig(method="lprg-it").method_kwargs() == {
             "max_iters": 4,
             "lp_backend": "session",
-        }
-        assert SolverConfig(method="bnb").method_kwargs() == {
-            "max_nodes": 10_000,
-            "warm_start": True,
         }
 
 

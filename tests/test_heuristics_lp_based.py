@@ -13,7 +13,8 @@ from repro.lp.scipy_backend import solve_lp_scipy
 class TestRegistry:
     def test_all_methods_registered(self):
         names = set(registry())
-        assert {"greedy", "lpr", "lprg", "lprr", "lprr-eq", "lp", "milp", "bnb"} <= names
+        assert {"greedy", "lpr", "lprg", "lprr", "lprr-eq", "lp", "milp"} <= names
+        assert "bnb" not in names
 
     def test_aliases(self):
         assert get_heuristic("g").name == "greedy"
@@ -184,9 +185,3 @@ class TestBounds:
         problem = SteadyStateProblem(platform, [1, 1, 0], objective="maxmin")
         result = Solver.for_method("lp").solve(problem)
         assert result.allocation is None  # betas = 0.5 are fractional
-
-    def test_bnb_equals_milp(self, problem_factory):
-        problem = problem_factory(seed=8, n_clusters=4)
-        assert Solver.for_method("bnb").solve(problem).value == pytest.approx(
-            Solver.for_method("milp").solve(problem).value, rel=1e-5, abs=1e-5
-        )

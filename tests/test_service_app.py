@@ -346,6 +346,28 @@ SAMPLED_BODY = {
         ("/sweep", {**SWEEP_BODY, "hold": "false"}, "hold"),
         ("/sweep", {**SWEEP_BODY, "scenario": {
             "apply_speed_heterogeneity": "false"}}, "apply_speed_heterogeneity"),
+        # the server writes no file a client names (held: nothing runs)
+        ("/sweep", {**SWEEP_BODY, "hold": True, "config": {
+            "checkpoint": "x.ckpt"}}, "checkpoint"),
+        ("/sweep", {**SWEEP_BODY, "hold": True, "config": {
+            "row_sink": "x.jsonl"}}, "row_sink"),
+        ("/sweep", {**SWEEP_BODY, "hold": True, "config": {
+            "shard_dir": "shards"}}, "shard_dir"),
+        # a JSON boolean, fraction or string is not an integer
+        ("/solve", {"scenario": "das2", "seed": True}, "seed"),
+        ("/solve", {"scenario": "das2", "seed": 2.9}, "seed"),
+        ("/solve", {"scenario": "das2", "scenario_seed": False}, "scenario_seed"),
+        ("/solve", {"scenario": "das2", "config": {"seed": True}}, "seed"),
+        ("/solve", {"scenario": "das2", "config": {
+            "retry": {"max_attempts": "3"}}}, "max_attempts"),
+        ("/solve", {"scenario": "das2", "config": {
+            "retry": {"backoff": True}}}, "backoff"),
+        # the sweep definition is checked before a job exists
+        ("/sweep", {**SWEEP_BODY, "methods": ["bogus"]}, "methods"),
+        ("/sweep", {**SWEEP_BODY, "objectives": ["bogus"]}, "objectives"),
+        ("/sweep", {**SWEEP_BODY, "n_platforms": "x"}, "n_platforms"),
+        ("/sweep", {**SWEEP_BODY, "n_platforms": -1}, "n_platforms"),
+        ("/sweep", {**SAMPLED_BODY, "k_values": [0]}, "k_values"),
     ],
     ids=[
         "solve-seed", "solve-scenario_seed", "setting-connectivity",
@@ -357,6 +379,11 @@ SAMPLED_BODY = {
         "config-chunk_size", "config-shards", "config-retry-quarantine",
         "solve-async", "solve-coalesce", "sweep-hold",
         "scenario-apply_speed_heterogeneity",
+        "config-checkpoint", "config-row_sink", "config-shard_dir",
+        "solve-seed-bool", "solve-seed-fraction", "solve-scenario_seed-bool",
+        "config-seed-bool", "config-retry-max_attempts", "config-retry-backoff",
+        "sweep-methods", "sweep-objectives", "sweep-n_platforms",
+        "sweep-n_platforms-negative", "k_values-zero",
     ],
 )
 def test_malformed_input_is_a_client_error_naming_its_field(
@@ -454,13 +481,30 @@ def test_restart_recovers_interrupted_job_after_journal_replay(tmp_path):
         app.service.close()
 
 
-def test_failed_sweep_reports_failure(client, tmp_path):
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")  # a file where a directory would be needed
+def test_a_client_named_path_is_refused_and_never_written(client, tmp_path):
+    config = {
+        "row_sink": str(tmp_path / "x.jsonl"),
+        "checkpoint": str(tmp_path / "x.ckpt"),
+    }
+    response = client.post("/sweep", {**SWEEP_BODY, "config": config})
+    if response.status == 202:  # a job was made: let it end before looking
+        _drain_stream(client, response.json()["job"]["job_id"])
+    assert sorted(tmp_path.iterdir()) == []
+    assert response.status == 400
+    assert "'checkpoint'" in response.json()["error"]
+
+
+def test_failed_sweep_reports_failure(client, monkeypatch):
+    class FailingSolver:
+        def sweep(self, *args, **kwargs):
+            raise RuntimeError("injected sweep failure")
+
+    monkeypatch.setattr(
+        client.app.service.pool, "solver_for", lambda *args: FailingSolver()
+    )
     job = client.post(
         "/sweep",
-        {**SWEEP_BODY, "methods": ["greedy"], "objectives": ["maxmin"],
-         "config": {"row_sink": str(blocker / "rows.jsonl")}},
+        {**SWEEP_BODY, "methods": ["greedy"], "objectives": ["maxmin"]},
     ).json()["job"]
     events = _drain_stream(client, job["job_id"])
     assert events[-1][0] == "failed"
